@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
-// primitives: one campaign realization, σ̂ estimation, meta-graph
-// all-pairs matching, MIOA region queries, market evaluation with π, and
-// end-to-end planning through the unified api:: registry.
+// primitives: one campaign realization, σ̂ estimation, the prep cache's
+// content key, meta-graph all-pairs matching, MIOA region queries, market
+// evaluation with π, and end-to-end planning through the unified api::
+// registry.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -14,6 +15,7 @@
 #include "diffusion/monte_carlo.h"
 #include "diffusion/sigma_backend.h"
 #include "kg/meta_graph_matcher.h"
+#include "prep/prep.h"
 
 namespace imdpp {
 namespace {
@@ -109,6 +111,32 @@ void BM_SigmaEstimateBackend(benchmark::State& state,
 }
 BENCHMARK_CAPTURE(BM_SigmaEstimateBackend, mc, "mc");
 BENCHMARK_CAPTURE(BM_SigmaEstimateBackend, ris, "ris");
+
+/// The content key every PrepCache/RisSketchCache acquisition computes,
+/// on a warm scale-5000 problem (the size the plan-request benchmark's
+/// large workloads use). bytes_per_second counts the bytes the key
+/// streams — CSR offsets + edges, wmeta0, base_pref, relevance matrices —
+/// so CI can report the kernel's throughput in GB/s.
+void BM_StructuralKey(benchmark::State& state) {
+  static const data::Dataset* ds = new data::Dataset(
+      data::DatasetRegistry::MakeOrDie({"scale-5000", 1.0, 0}));
+  const diffusion::Problem p = ds->MakeProblem(300.0, 5);
+  const graph::SocialGraph& g = *p.graph;
+  int64_t bytes = static_cast<int64_t>(g.OutOffsets().size_bytes() +
+                                       g.AllOutEdges().size_bytes() +
+                                       p.wmeta0.size() * sizeof(float) +
+                                       p.base_pref.size() * sizeof(float));
+  for (int m = 0; m < p.NumMetas(); ++m) {
+    bytes += static_cast<int64_t>(p.relevance->Matrix(m).size_bytes());
+  }
+  benchmark::DoNotOptimize(prep::StructuralKey(p));  // warm the pages
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(prep::StructuralKey(p));
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+  state.counters["key_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_StructuralKey)->Unit(benchmark::kMillisecond);
 
 /// Same sweep for the Expected() path (per-shard ExpectedState partials
 /// are the heaviest reduction).

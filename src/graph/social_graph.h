@@ -56,6 +56,12 @@ class SocialGraph {
     return static_cast<int>(in_offsets_[u + 1] - in_offsets_[u]);
   }
 
+  /// The raw out-CSR: OutEdges(u) is AllOutEdges()[OutOffsets()[u] ..
+  /// OutOffsets()[u + 1]). Read-only views for whole-graph scans such as
+  /// content hashing (prep::StructuralKey).
+  std::span<const int64_t> OutOffsets() const { return out_offsets_; }
+  std::span<const Edge> AllOutEdges() const { return out_edges_; }
+
   /// Base influence strength of edge (u -> v); 0 if the edge is absent.
   /// O(out-degree of u).
   double BaseWeight(UserId u, UserId v) const;

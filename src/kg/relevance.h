@@ -8,6 +8,7 @@
 #ifndef IMDPP_KG_RELEVANCE_H_
 #define IMDPP_KG_RELEVANCE_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,13 @@ class RelevanceModel {
     IMDPP_DCHECK(x >= 0 && x < num_items_);
     IMDPP_DCHECK(y >= 0 && y < num_items_);
     return matrices_[m][static_cast<size_t>(x) * num_items_ + y];
+  }
+
+  /// Meta m's whole row-major NumItems x NumItems matrix:
+  /// Matrix(m)[x * NumItems() + y] == Score(m, x, y).
+  std::span<const float> Matrix(int m) const {
+    IMDPP_DCHECK(m >= 0 && m < NumMetas());
+    return matrices_[m];
   }
 
   /// Items y with Score(m, x, y) > 0 for *any* meta m; precomputed sparse

@@ -75,10 +75,14 @@ using graph::UserId;
 using kg::ItemId;
 
 /// Content hash of every Problem input the artifacts are a function of:
-/// graph structure/weights, initial meta-graph weightings, base
-/// preferences, and the relevance matrices. Budget, promotion count,
-/// costs and importances are deliberately excluded — artifacts are valid
-/// across them.
+/// the out-CSR (offsets, edge targets and weights), initial meta-graph
+/// weightings, base preferences, and each relevance matrix with its
+/// relation kind. Budget, promotion count, costs and importances are
+/// deliberately excluded — artifacts are valid across them. So are the
+/// perception params: RelC/RelS at w̄0, the MIOA regions, hop rows and
+/// clusters never read them (RisSketchKey, whose sketches do, adds them).
+/// Each input is one contiguous array streamed through HashBytes: one
+/// memory pass, about 5 ms at scale-5000.
 uint64_t StructuralKey(const diffusion::Problem& problem);
 
 class PrepArtifacts {

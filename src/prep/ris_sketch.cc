@@ -63,16 +63,25 @@ uint64_t RisSketchKey(const diffusion::Problem& problem,
                       const diffusion::CampaignConfig& campaign,
                       int num_sketches) {
   // StructuralKey covers the graph, initial weightings/preferences and
-  // relevance; the sketch inputs it deliberately excludes follow.
-  uint64_t h = HashTuple(0x726973ULL /* "ris" */, StructuralKey(problem),
-                         campaign.base_seed,
-                         static_cast<uint64_t>(num_sketches),
-                         static_cast<uint64_t>(campaign.model),
-                         static_cast<uint64_t>(campaign.max_steps));
-  for (double w : problem.importance) {
-    h = HashCombine(h, std::bit_cast<uint64_t>(w));
-  }
-  return h;
+  // relevance; the sketch inputs it deliberately excludes follow. Live-edge
+  // probabilities come from InfluenceModel::Eval, which reads the
+  // perception params (act_gain, act_cap, sim_adoption_weight), so every
+  // params field is keyed: a params switch must never serve sketches built
+  // under other params.
+  const pin::PerceptionParams& params = problem.params;
+  uint64_t h = HashTuple(
+      0x726973ULL /* "ris" */, StructuralKey(problem), campaign.base_seed,
+      static_cast<uint64_t>(num_sketches),
+      static_cast<uint64_t>(campaign.model),
+      static_cast<uint64_t>(campaign.max_steps),
+      std::bit_cast<uint64_t>(params.meta_learning_rate),
+      std::bit_cast<uint64_t>(params.pref_gain),
+      std::bit_cast<uint64_t>(params.act_gain),
+      std::bit_cast<uint64_t>(params.act_cap),
+      std::bit_cast<uint64_t>(params.sim_adoption_weight),
+      std::bit_cast<uint64_t>(params.assoc_scale));
+  return HashBytes(h, problem.importance.data(),
+                   problem.importance.size() * sizeof(double));
 }
 
 RisSketchSet::RisSketchSet(const diffusion::Problem& problem,
@@ -212,7 +221,9 @@ util::StatusOr<RisSketchLease> RisSketchCache::Acquire(
   IMDPP_RETURN_IF_ERROR(util::CheckCancel(cancel.get()));
   RisSketchLease lease;
   // Content-hashed per acquisition, like PrepCache: mutated problems
-  // re-key instead of serving stale sketches. Hashed before taking mu_.
+  // re-key instead of serving stale sketches. The key streams the same
+  // inputs as StructuralKey plus the importances and params — one memory
+  // pass, about 5 ms at scale-5000. Hashed before taking mu_.
   const uint64_t key = RisSketchKey(problem, campaign, num_sketches);
   util::MutexLock lock(mu_);
   auto it = sketches_.find(key);

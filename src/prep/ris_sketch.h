@@ -23,17 +23,18 @@
 //
 // Determinism: every coin is a counter-based hash of
 // (base_seed, sketch, edge, item) — util/hash.h — so a sketch set is a
-// pure function of (problem structure, importances, base_seed, θ, model,
-// step cap). The parallel build shards sketches by index with a layout
-// that depends only on θ, each shard fills its own slots, and the merge
-// into the postings CSR walks sketches in ascending index order — sketch
-// sets are bit-identical at any build thread count.
+// pure function of (problem structure, importances, perception params,
+// base_seed, θ, model, step cap). The parallel build shards sketches by
+// index with a layout that depends only on θ, each shard fills its own
+// slots, and the merge into the postings CSR walks sketches in ascending
+// index order — sketch sets are bit-identical at any build thread count.
 //
 // Caching: RisSketchCache memoizes sketch sets by a content hash of
 // everything they are a function of (prep::StructuralKey plus the
-// importance vector and the sampling knobs). api::CampaignSession owns one
-// and injects it into every planner run, so sweeps over budgets and
-// planners build each sketch set once (the PrepCache story, ISSUE 5).
+// importance vector, the perception params and the sampling knobs).
+// api::CampaignSession owns one and injects it into every planner run, so
+// sweeps over budgets and planners build each sketch set once (the
+// PrepCache story, ISSUE 5).
 //
 // Thread safety (ISSUE 6): a built RisSketchSet is immutable — share it
 // freely. RisSketchCache serializes acquisitions on one mutex
@@ -63,10 +64,11 @@ using kg::ItemId;
 /// Content hash of everything a sketch set is a function of: the
 /// structural inputs (graph, initial weightings/preferences, relevance),
 /// the item importances (StructuralKey excludes them; RIS roots sample by
-/// them), and the sampling knobs (base seed, θ, diffusion model, step
-/// cap). Budget, promotion count and costs stay excluded — sketch sets
-/// are valid across them, which is what makes the cache pay off in
-/// sweeps.
+/// them), every perception-params field (StructuralKey excludes them;
+/// live-edge probabilities read them), and the sampling knobs (base seed,
+/// θ, diffusion model, step cap). Budget, promotion count and costs stay
+/// excluded — sketch sets are valid across them, which is what makes the
+/// cache pay off in sweeps.
 uint64_t RisSketchKey(const diffusion::Problem& problem,
                       const diffusion::CampaignConfig& campaign,
                       int num_sketches);

@@ -11,11 +11,14 @@
 #include <string>
 #include <vector>
 
+#include "api/session.h"
 #include "data/catalog.h"
 #include "data/dataset_registry.h"
 #include "diffusion/ris_backend.h"
 #include "diffusion/sigma_backend.h"
+#include "pin/perception_params.h"
 #include "prep/ris_sketch.h"
+#include "util/metrics.h"
 #include "util/thread_pool.h"
 
 namespace imdpp::diffusion {
@@ -209,6 +212,52 @@ TEST(RisSketchSet, KeyCoversImportancesAndSamplingKnobs) {
   rebudgeted.budget += 50.0;
   rebudgeted.num_promotions += 3;
   EXPECT_EQ(prep::RisSketchKey(rebudgeted, campaign, 512), base);
+  // Every perception-params field is keyed: live-edge probabilities read
+  // the params, so sketches built under one setting are stale under any
+  // other.
+  using Params = pin::PerceptionParams;
+  for (double Params::*field :
+       {&Params::meta_learning_rate, &Params::pref_gain, &Params::act_gain,
+        &Params::act_cap, &Params::sim_adoption_weight,
+        &Params::assoc_scale}) {
+    Problem reparamed = problem;
+    reparamed.params.*field += 0.125;
+    EXPECT_NE(prep::RisSketchKey(reparamed, campaign, 512), base);
+  }
+  Problem frozen = problem;
+  frozen.params = Params::FrozenDynamics();
+  EXPECT_NE(prep::RisSketchKey(frozen, campaign, 512), base);
+}
+
+// A warm "ris" session switched to other perception params must build its
+// sketches again and score exactly like a session that started under those
+// params — never reuse sketches sampled under the old live-edge
+// probabilities.
+TEST(RisSketchCache, ParamsSwitchRebuildsAndMatchesColdSession) {
+  api::PlannerConfig cfg;
+  cfg.selection_samples = 4;
+  cfg.eval_samples = 8;
+  cfg.num_threads = 0;
+  cfg.eval.backend = "ris";
+  cfg.eval.ris_sketches = 4096;
+  const pin::PerceptionParams frozen = pin::PerceptionParams::FrozenDynamics();
+
+  api::CampaignSession warm(data::MakeSmallAmazonSample(), cfg);
+  warm.SetProblem(/*budget=*/100.0, /*num_promotions=*/2);
+  const api::PlanResult before = warm.Run("dysim");
+  ASSERT_TRUE(before.status.ok());
+  warm.SetProblem(/*budget=*/100.0, /*num_promotions=*/2, frozen);
+  const api::PlanResult switched = warm.Run("dysim");
+  ASSERT_TRUE(switched.status.ok());
+  EXPECT_GE(switched.metrics.Counter(util::metric::kRisSketchBuilds), 1);
+
+  api::CampaignSession cold(data::MakeSmallAmazonSample(), cfg);
+  cold.SetProblem(/*budget=*/100.0, /*num_promotions=*/2, frozen);
+  const api::PlanResult reference = cold.Run("dysim");
+  ASSERT_TRUE(reference.status.ok());
+  EXPECT_EQ(switched.seeds, reference.seeds);
+  EXPECT_EQ(switched.sigma, reference.sigma);
+  EXPECT_EQ(warm.Sigma(reference.seeds), cold.Sigma(reference.seeds));
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <numeric>
 #include <set>
+#include <string_view>
 #include <vector>
 
 #include "util/hash.h"
@@ -54,6 +57,71 @@ TEST(Hash, CollisionFreeOnSmallDomain) {
     }
   }
   EXPECT_EQ(seen.size(), 64u * 64u);
+}
+
+// HashBytes is the XXH64 algorithm; on little-endian hosts (where
+// memcpy-loaded words match XXH64's canonical byte order) it reproduces
+// the reference vectors exactly.
+TEST(HashBytes, MatchesXxh64ReferenceVectors) {
+  if constexpr (std::endian::native == std::endian::little) {
+    EXPECT_EQ(HashBytes(0, "", 0), 0xef46db3751d8e999ULL);
+    EXPECT_EQ(HashBytes(0, "a", 1), 0xd24ec4f1a98c6e5bULL);
+    EXPECT_EQ(HashBytes(0, "abc", 3), 0x44bc2cf5ad770999ULL);
+    const std::string_view text = "Nobody inspects the spammish repetition";
+    EXPECT_EQ(HashBytes(0, text.data(), text.size()), 0xfbcea83c8a378bf1ULL);
+  }
+}
+
+std::vector<unsigned char> PatternBytes(size_t n) {
+  std::vector<unsigned char> bytes(n);
+  for (size_t i = 0; i < n; ++i) {
+    bytes[i] = static_cast<unsigned char>(SplitMix64(i) >> 56);
+  }
+  return bytes;
+}
+
+TEST(HashBytes, EveryTailLengthIsConsumed) {
+  // Lengths around the 8-byte word and 32-byte stripe boundaries: every
+  // prefix hashes differently from every other, and flipping the LAST
+  // byte (the one the tail fold handles) always changes the hash.
+  const std::vector<unsigned char> bytes = PatternBytes(100);
+  std::set<uint64_t> seen;
+  for (size_t n : {0, 1, 7, 8, 31, 32, 33, 100}) {
+    SCOPED_TRACE(n);
+    std::vector<unsigned char> prefix(bytes.begin(), bytes.begin() + n);
+    const uint64_t h = HashBytes(17, prefix.data(), n);
+    EXPECT_EQ(HashBytes(17, prefix.data(), n), h);
+    EXPECT_NE(HashBytes(18, prefix.data(), n), h);  // the seed is mixed in
+    EXPECT_TRUE(seen.insert(h).second);
+    if (n > 0) {
+      prefix.back() ^= 0x01;
+      EXPECT_NE(HashBytes(17, prefix.data(), n), h);
+    }
+  }
+}
+
+TEST(HashBytes, IndependentOfAlignment) {
+  const std::vector<unsigned char> bytes = PatternBytes(100);
+  const uint64_t h = HashBytes(5, bytes.data(), bytes.size());
+  std::vector<unsigned char> buffer(bytes.size() + 16);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    std::copy(bytes.begin(), bytes.end(), buffer.begin() + offset);
+    EXPECT_EQ(HashBytes(5, buffer.data() + offset, bytes.size()), h)
+        << "offset " << offset;
+  }
+}
+
+TEST(HashBytes, EverySingleBitFlipChangesTheHash) {
+  std::vector<unsigned char> bytes = PatternBytes(100);
+  const uint64_t h = HashBytes(0, bytes.data(), bytes.size());
+  std::set<uint64_t> seen = {h};
+  for (size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+    bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+    EXPECT_TRUE(seen.insert(HashBytes(0, bytes.data(), bytes.size())).second)
+        << "bit " << bit;
+    bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+  }
+  EXPECT_EQ(HashBytes(0, bytes.data(), bytes.size()), h);
 }
 
 TEST(Rng, DeterministicStream) {
