@@ -26,8 +26,14 @@ const data::Dataset& AmazonDs() {
   return *ds;
 }
 
-void BM_CampaignSample(benchmark::State& state) {
-  const data::Dataset& ds = AmazonDs();
+const data::Dataset& YelpDs() {
+  static const data::Dataset* ds = new data::Dataset(data::MakeYelpLike(0.5));
+  return *ds;
+}
+
+/// One campaign realization per iteration (Arg = T, seeds in promotion 1);
+/// items_per_second is the simulator kernel's samples/s.
+void RunCampaignSamples(benchmark::State& state, const data::Dataset& ds) {
   diffusion::Problem p = ds.MakeProblem(300.0, static_cast<int>(state.range(0)));
   diffusion::CampaignSimulator sim(p, {});
   diffusion::SeedGroup seeds{{0, 0, 1}, {1, 1, 1}, {2, 2, 1}};
@@ -35,8 +41,18 @@ void BM_CampaignSample(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(sim.RunSample(seeds, i++).sigma);
   }
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_CampaignSample(benchmark::State& state) {
+  RunCampaignSamples(state, AmazonDs());
 }
 BENCHMARK(BM_CampaignSample)->Arg(1)->Arg(5)->Arg(10)->Arg(40);
+
+void BM_CampaignSampleYelp(benchmark::State& state) {
+  RunCampaignSamples(state, YelpDs());
+}
+BENCHMARK(BM_CampaignSampleYelp)->Arg(5);
 
 void BM_SigmaEstimate(benchmark::State& state) {
   const data::Dataset& ds = AmazonDs();
@@ -50,11 +66,6 @@ void BM_SigmaEstimate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SigmaEstimate)->Arg(8)->Arg(32);
-
-const data::Dataset& YelpDs() {
-  static const data::Dataset* ds = new data::Dataset(data::MakeYelpLike(0.5));
-  return *ds;
-}
 
 /// σ̂-estimation throughput vs thread count on the yelp-like dataset
 /// (Arg = num_threads; 0 = serial fallback). items_per_second counts

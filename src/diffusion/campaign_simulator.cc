@@ -171,8 +171,9 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
   const pin::PersonalItemNetwork& pin = dynamics_->pin();
   const pin::PreferenceModel& pref_model = dynamics_->preference();
   const pin::InfluenceModel& act_model = dynamics_->influence();
-  const pin::AssociationModel& assoc_model = dynamics_->association();
   const kg::RelevanceModel& rel = *problem_.relevance;
+  const size_t num_metas = static_cast<size_t>(rel.NumMetas());
+  const double assoc_scale = pin.params().assoc_scale;
   const uint64_t sseed = HashTuple(config_.base_seed, sample_idx);
   std::vector<pin::UserState>& state = scratch.states_;
 
@@ -223,17 +224,17 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
       };
 
       for (const auto& [src, x] : frontier) {
+        const kg::RelevanceModel::AssociationRow row = rel.AssocRow(x);
         for (const graph::Edge& e : g.OutEdges(src)) {
           const UserId u = e.to;
-          const bool has_x = state[static_cast<size_t>(u)].Has(x);
+          const pin::UserState& su = state[static_cast<size_t>(u)];
+          // A user can only be promoted an item not yet adopted.
+          if (su.Has(x)) continue;
           const double pact =
-              act_model.Eval(e.weight, state[static_cast<size_t>(src)],
-                             state[static_cast<size_t>(u)]);
+              act_model.Eval(e.weight, state[static_cast<size_t>(src)], su);
           if (pact <= 0.0) continue;
-          // A user can only be promoted an item she has not adopted.
-          if (has_x) continue;
-          const double ppref = pref_model.Eval(state[static_cast<size_t>(u)],
-                                               problem_.BasePref(u, x), x);
+          const double ppref =
+              pref_model.Eval(su, problem_.BasePref(u, x), x);
           bool adopt = false;
           if (config_.model == DiffusionModel::kIndependentCascade) {
             const double p = pact * ppref;
@@ -257,12 +258,19 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
           if (adopt) try_queue(u, x);
 
           // Item associations: being promoted x can trigger adoption of
-          // relevant items y, independently of the adoption of x.
-          if (ppref <= 0.0) continue;
-          for (ItemId y : rel.RelatedItems(x)) {
-            if (state[static_cast<size_t>(u)].Has(y)) continue;
-            const double pe = assoc_model.ExtraProb(
-                state[static_cast<size_t>(u)], pact, ppref, x, y);
+          // relevant items y, independently of the adoption of x. Pext =
+          // clip01(assoc_scale * pact * ppref * (r^C - r^S)), evaluated in
+          // AssociationModel::ExtraProb's left-to-right order over x's
+          // complementary pairs (the only pairs whose r^C - r^S can be > 0).
+          if (ppref <= 0.0 || assoc_scale <= 0.0) continue;
+          const double pull = assoc_scale * pact * ppref;
+          for (size_t i = 0; i < row.items.size(); ++i) {
+            const ItemId y = row.items[i];
+            if (su.Has(y)) continue;
+            const double net = pin.RelNetRow(
+                su.wmeta(), row.scores.subspan(i * num_metas, num_metas));
+            if (net <= 0.0) continue;
+            const double pe = Clip01(pull * net);
             if (pe > 0.0) {
               const double coin =
                   aligned

@@ -43,6 +43,18 @@
 // CheckpointedEval). Both paths are bit-identical to a from-scratch run:
 // the exact same floating-point operations happen in the exact same order,
 // merely split across calls.
+//
+// The item-association loop is pair-major: it walks the promoted item x's
+// kg::RelevanceModel::AssocRow — the items y with some complementary score
+// s(x,y|m) > 0, ascending, each carrying all its scores contiguously
+// (complementary metas first, then substitutable, each in ascending m) —
+// instead of probing every meta's |I| x |I| matrix per pair. It is exact:
+// PersonalItemNetwork::RelNetRow forms the same float products
+// wmeta[m] * s(x,y|m) and sums them into a double per kind in the same
+// ascending-m order as RelNet; assoc_scale * Pact * Ppref is hoisted but
+// kept in AssociationModel::ExtraProb's left-to-right order; and a pair
+// with no complementary score has r^C = 0, so r^C - r^S <= 0 and the
+// scalar loop drew no coin (and consumed no attempt ordinal) for it either.
 #ifndef IMDPP_DIFFUSION_CAMPAIGN_SIMULATOR_H_
 #define IMDPP_DIFFUSION_CAMPAIGN_SIMULATOR_H_
 

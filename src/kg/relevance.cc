@@ -43,18 +43,42 @@ RelevanceModel RelevanceModel::FromMatrices(
 }
 
 void RelevanceModel::BuildRelated() {
+  const int metas = NumMetas();
+  row_meta_order_.clear();
+  for (int m = 0; m < metas; ++m) {
+    if (KindOf(m) == RelationKind::kComplementary) row_meta_order_.push_back(m);
+  }
+  num_complementary_ = static_cast<int>(row_meta_order_.size());
+  for (int m = 0; m < metas; ++m) {
+    if (KindOf(m) == RelationKind::kSubstitutable) row_meta_order_.push_back(m);
+  }
+  IMDPP_CHECK_EQ(row_meta_order_.size(), static_cast<size_t>(metas));
+
   related_.assign(num_items_, {});
+  row_offsets_.assign(1, 0);
+  row_items_.clear();
+  row_scores_.clear();
   for (ItemId x = 0; x < num_items_; ++x) {
     for (ItemId y = 0; y < num_items_; ++y) {
       if (y == x) continue;
-      for (int m = 0; m < NumMetas(); ++m) {
-        if (Score(m, x, y) > 0.0f) {
-          related_[x].push_back(y);
+      bool any = false;
+      bool complementary = false;
+      for (int j = 0; j < metas; ++j) {
+        if (Score(row_meta_order_[j], x, y) > 0.0f) {
+          any = true;
+          complementary = j < num_complementary_;
           break;
         }
       }
+      if (any) related_[x].push_back(y);
+      if (!complementary) continue;
+      row_items_.push_back(y);
+      for (int m : row_meta_order_) row_scores_.push_back(Score(m, x, y));
     }
+    row_offsets_.push_back(row_items_.size());
   }
+  row_items_.shrink_to_fit();
+  row_scores_.shrink_to_fit();
 }
 
 RelevanceModel RelevanceModel::WithMetaSubset(

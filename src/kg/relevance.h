@@ -4,7 +4,9 @@
 // meta-graph plus the meta-graph's relationship kind. Personal relevance is
 // a user-weighted combination of these matrices (pin/personal_item_network);
 // this class only holds the *shared* KG-derived part, which never changes
-// during a campaign.
+// during a campaign. Alongside the matrices it keeps a pair-major copy of
+// the complementary pairs (AssocRow), the layout the simulator's
+// item-association loop streams.
 #ifndef IMDPP_KG_RELEVANCE_H_
 #define IMDPP_KG_RELEVANCE_H_
 
@@ -54,11 +56,36 @@ class RelevanceModel {
   }
 
   /// Items y with Score(m, x, y) > 0 for *any* meta m; precomputed sparse
-  /// neighbor lists used by item-association and DR propagation loops.
+  /// neighbor lists used by the DR propagation loops.
   const std::vector<ItemId>& RelatedItems(ItemId x) const {
     IMDPP_DCHECK(x >= 0 && x < num_items_);
     return related_[x];
   }
+
+  /// Pair-major association row of item x: every y != x with a
+  /// complementary score > 0, in ascending y, each carrying its NumMetas()
+  /// scores contiguously in RowMetaOrder() — scores[i * NumMetas() + j] ==
+  /// Score(RowMetaOrder()[j], x, items[i]). Pairs with no complementary
+  /// score are left out: their r^C is 0, so r^C - r^S <= 0 and they can
+  /// never trigger an extra adoption.
+  struct AssociationRow {
+    std::span<const ItemId> items;
+    std::span<const float> scores;
+  };
+  AssociationRow AssocRow(ItemId x) const {
+    IMDPP_DCHECK(x >= 0 && x < num_items_);
+    const size_t begin = row_offsets_[static_cast<size_t>(x)];
+    const size_t end = row_offsets_[static_cast<size_t>(x) + 1];
+    const size_t metas = metas_.size();
+    return {{row_items_.data() + begin, end - begin},
+            {row_scores_.data() + begin * metas, (end - begin) * metas}};
+  }
+
+  /// Meta index behind each score slot of an association row: the
+  /// complementary metas in ascending index, then the substitutable ones.
+  std::span<const int> RowMetaOrder() const { return row_meta_order_; }
+  /// Number of leading complementary slots in RowMetaOrder().
+  int NumComplementaryMetas() const { return num_complementary_; }
 
   /// Restricts the model to its first `k` meta-graphs (sensitivity test,
   /// Fig. 13). k must be in [1, NumMetas()].
@@ -76,6 +103,14 @@ class RelevanceModel {
   std::vector<MetaGraph> metas_;
   std::vector<std::vector<float>> matrices_;
   std::vector<std::vector<ItemId>> related_;
+  // Association rows (AssocRow): pairs of item x occupy
+  // [row_offsets_[x], row_offsets_[x + 1]) of row_items_, and NumMetas()
+  // times that range of row_scores_.
+  std::vector<int> row_meta_order_;
+  int num_complementary_ = 0;
+  std::vector<size_t> row_offsets_;
+  std::vector<ItemId> row_items_;
+  std::vector<float> row_scores_;
 };
 
 }  // namespace imdpp::kg

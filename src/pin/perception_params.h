@@ -16,7 +16,8 @@ struct PerceptionParams {
   double meta_learning_rate = 0.4;
 
   /// Weight of the adopted-item relevance term in preference estimation
-  /// (factor 2): Ppref = clip01(base + pref_gain * sum_a (r^C - r^S)).
+  /// (factor 2): Ppref = clip01(base + pref_gain * mean_a (r^C - r^S)),
+  /// the mean taken over the user's adopted items a.
   double pref_gain = 0.8;
 
   /// Influence learning (factor 3): Pact = clip(base * (1 + act_gain*sim)).

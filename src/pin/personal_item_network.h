@@ -20,6 +20,7 @@
 #include "kg/relevance.h"
 #include "pin/perception_params.h"
 #include "pin/user_state.h"
+#include "util/mathutil.h"
 
 namespace imdpp::pin {
 
@@ -44,6 +45,27 @@ class PersonalItemNetwork {
   double RelNet(std::span<const float> wmeta, kg::ItemId x,
                 kg::ItemId y) const {
     return RelC(wmeta, x, y) - RelS(wmeta, x, y);
+  }
+
+  /// RelNet(wmeta, x, y) for the pair whose NumMetas() scores sit in
+  /// `scores`, laid out as one pair of RelevanceModel::AssocRow(x). Bit for
+  /// bit the same value: the same float products wmeta[m] * s(x,y|m),
+  /// summed into a double per kind in ascending m, then clipped.
+  double RelNetRow(std::span<const float> wmeta,
+                   std::span<const float> scores) const {
+    const std::span<const int> order = rel_.RowMetaOrder();
+    const size_t num_c = static_cast<size_t>(rel_.NumComplementaryMetas());
+    IMDPP_DCHECK(scores.size() == order.size());
+    IMDPP_DCHECK(wmeta.size() >= order.size());
+    double c = 0.0;
+    for (size_t j = 0; j < num_c; ++j) {
+      c += wmeta[static_cast<size_t>(order[j])] * scores[j];
+    }
+    double s = 0.0;
+    for (size_t j = num_c; j < order.size(); ++j) {
+      s += wmeta[static_cast<size_t>(order[j])] * scores[j];
+    }
+    return Clip01(c) - Clip01(s);
   }
 
   /// Applies the weight update to `state` given the items newly adopted at

@@ -1,12 +1,12 @@
 // Factor (2), preference estimation: Ppref(u, y, ζ_t).
 //
 // Following the cross-elasticity reading of Sec. III / V-A, a user's
-// preference for a not-yet-adopted item y is her base preference plus a
-// gain for every adopted complementary item and a penalty for every adopted
-// substitutable item, all through her *personal* item network:
+// preference for a not-yet-adopted item y is the base preference shifted by
+// the mean pull of the user's adopted items — complementary ones raise it,
+// substitutable ones lower it — all through the *personal* item network:
 //
-//   Ppref(u,y) = clip01( base(u,y) +
-//                        pref_gain * Σ_{a ∈ A(u)} (r^C(u,a,y) - r^S(u,a,y)) )
+//   Ppref(u,y) = clip01( base(u,y) + pref_gain *
+//                        mean_{a ∈ A(u)} (r^C(u,a,y) - r^S(u,a,y)) )
 //
 // Already-adopted items have preference 0 (they cannot be promoted again).
 #ifndef IMDPP_PIN_PREFERENCE_MODEL_H_

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <memory>
+#include <string>
+
+#include "data/catalog.h"
 #include "diffusion/campaign_simulator.h"
 #include "tests/test_util.h"
 
@@ -265,6 +270,162 @@ TEST(CampaignSimulator, DynamicInfluenceStrengthensWithSimilarity) {
     boosted += o.adoptions == 2;
   }
   EXPECT_GT(boosted, plain + 50);
+}
+
+// --- Kernel golden values --------------------------------------------------
+// Exact outcomes of fixed realizations, captured as hex-float literals from
+// the scalar association loop (RelatedItems x AssociationModel::ExtraProb)
+// that the pair-major relevance-row kernel replaced, on a catalog dataset
+// and on a substitute-heavy toy whose metas are listed out of kind order.
+// A kernel that draws a different coin, or skips or adds one, moves these
+// values; a one-ulp change in a probability usually does not, which is why
+// pin_test pins RelNetRow against RelNet bit for bit.
+
+/// 8 users, 6 items, four metas ordered [S, C, S, C], dynamics on. Most
+/// related pairs are substitutable; some are complementary only, some
+/// both; pairs (0,1), (2,3), (4,5) score 0.9 on both C metas, so their r^C
+/// saturates past 1.
+TinyWorld SubstituteHeavyToy() {
+  constexpr int kItems = 6;
+  std::vector<std::vector<float>> mats(4,
+                                       std::vector<float>(kItems * kItems));
+  for (int x = 0; x < kItems; ++x) {
+    for (int y = 0; y < kItems; ++y) {
+      if (x == y) continue;
+      float* s0 = &mats[0][x * kItems + y];
+      float* c1 = &mats[1][x * kItems + y];
+      float* s2 = &mats[2][x * kItems + y];
+      float* c3 = &mats[3][x * kItems + y];
+      if ((x + y) % 2 == 1) *s0 = 0.3f + 0.1f * static_cast<float>(x * y % 4);
+      if ((x / 2) == (y / 2)) *c1 = 0.9f;
+      if (y - x == 2 || x - y == 3) *s2 = 0.5f;
+      if ((x + 1) % kItems == y) *c3 = 0.9f;
+    }
+  }
+  std::vector<kg::MetaGraph> metas = {
+      {"S0", kg::RelationKind::kSubstitutable, {}},
+      {"C1", kg::RelationKind::kComplementary, {}},
+      {"S2", kg::RelationKind::kSubstitutable, {}},
+      {"C3", kg::RelationKind::kComplementary, {}},
+  };
+  TinyWorldSpec spec;
+  spec.num_items = kItems;
+  spec.num_promotions = 3;
+  spec.base_pref = 0.5;
+  spec.wmeta0 = 0.6;
+  spec.params = pin::PerceptionParams();
+  spec.params.assoc_scale = 0.9;
+  TinyWorld w = MakeWorld(
+      8,
+      {{0, 1, 0.7}, {1, 2, 0.6}, {2, 3, 0.8}, {3, 4, 0.5}, {4, 5, 0.9},
+       {5, 6, 0.6}, {6, 7, 0.7}, {7, 0, 0.8}, {0, 4, 0.5}, {2, 6, 0.6},
+       {5, 1, 0.7}, {3, 7, 0.4}, {1, 3, 0.6}, {6, 2, 0.5}},
+      spec,
+      std::make_unique<kg::RelevanceModel>(kg::RelevanceModel::FromMatrices(
+          kItems, std::move(metas), std::move(mats))));
+  // Distinct importances, so sigma also records which items were adopted.
+  w.problem.importance = {1.0, 1.5, 2.25, 0.75, 3.0, 1.25};
+  return w;
+}
+
+enum GoldenWorld { kYelp, kToy };
+constexpr DiffusionModel kIC = DiffusionModel::kIndependentCascade;
+constexpr DiffusionModel kLT = DiffusionModel::kLinearThreshold;
+constexpr bool kAligned = true;
+constexpr bool kRoundKeyed = false;
+constexpr bool kMasked = true;
+constexpr bool kNoMask = false;
+
+struct GoldenRow {
+  GoldenWorld world;
+  DiffusionModel model;
+  bool aligned;  ///< align_from_round = 1 instead of round-keyed coins
+  bool masked;   ///< market mask u % 3 != 0
+  uint64_t sample;
+  double sigma;
+  double sigma_market;
+  int adoptions;
+};
+
+// clang-format off
+const GoldenRow kGoldenRows[] = {
+    {kYelp, kIC, kRoundKeyed, kNoMask, 0, 0x1.09c8619382147p+4, 0x0p+0, 10},
+    {kYelp, kIC, kRoundKeyed, kNoMask, 5, 0x1.fd9e29e29a66cp+4, 0x0p+0, 20},
+    {kYelp, kIC, kRoundKeyed, kMasked, 0, 0x1.09c8619382147p+4, 0x1.97d61c2d62368p+3, 10},
+    {kYelp, kIC, kRoundKeyed, kMasked, 5, 0x1.fd9e29e29a66cp+4, 0x1.72649f2d2a62p+4, 20},
+    {kYelp, kIC, kAligned, kNoMask, 0, 0x1.8793e5cbf42b1p+5, 0x0p+0, 27},
+    {kYelp, kIC, kAligned, kNoMask, 5, 0x1.5e608b3ce0d12p+4, 0x0p+0, 13},
+    {kYelp, kIC, kAligned, kMasked, 0, 0x1.8793e5cbf42b1p+5, 0x1.2528434a12ff2p+5, 27},
+    {kYelp, kIC, kAligned, kMasked, 5, 0x1.5e608b3ce0d12p+4, 0x1.bc08ef6f7c0e2p+3, 13},
+    {kYelp, kLT, kRoundKeyed, kNoMask, 0, 0x1.a6cd65afc258ap+4, 0x0p+0, 16},
+    {kYelp, kLT, kRoundKeyed, kNoMask, 5, 0x1.b26aebd01bc64p+5, 0x0p+0, 29},
+    {kYelp, kLT, kRoundKeyed, kMasked, 0, 0x1.a6cd65afc258ap+4, 0x1.5b3fefebd7811p+4, 16},
+    {kYelp, kLT, kRoundKeyed, kMasked, 5, 0x1.b26aebd01bc64p+5, 0x1.0807e3204c5c9p+5, 29},
+    {kYelp, kLT, kAligned, kNoMask, 0, 0x1.10c3c4c4460d9p+5, 0x0p+0, 22},
+    {kYelp, kLT, kAligned, kNoMask, 5, 0x1.4b75c851821fep+4, 0x0p+0, 12},
+    {kYelp, kLT, kAligned, kMasked, 0, 0x1.10c3c4c4460d9p+5, 0x1.9244663e328d7p+4, 22},
+    {kYelp, kLT, kAligned, kMasked, 5, 0x1.4b75c851821fep+4, 0x1.b3f34698d7b2p+3, 12},
+    {kToy, kIC, kRoundKeyed, kNoMask, 0, 0x1.6cp+4, 0x0p+0, 14},
+    {kToy, kIC, kRoundKeyed, kNoMask, 5, 0x1.46p+5, 0x0p+0, 25},
+    {kToy, kIC, kRoundKeyed, kMasked, 0, 0x1.6cp+4, 0x1.cp+3, 14},
+    {kToy, kIC, kRoundKeyed, kMasked, 5, 0x1.46p+5, 0x1.6cp+4, 25},
+    {kToy, kIC, kAligned, kNoMask, 0, 0x1.fp+2, 0x0p+0, 4},
+    {kToy, kIC, kAligned, kNoMask, 5, 0x1.ecp+4, 0x0p+0, 18},
+    {kToy, kIC, kAligned, kMasked, 0, 0x1.fp+2, 0x1.2p+2, 4},
+    {kToy, kIC, kAligned, kMasked, 5, 0x1.ecp+4, 0x1.3cp+4, 18},
+    {kToy, kLT, kRoundKeyed, kNoMask, 0, 0x1.24p+4, 0x0p+0, 12},
+    {kToy, kLT, kRoundKeyed, kNoMask, 5, 0x1.e8p+4, 0x0p+0, 21},
+    {kToy, kLT, kRoundKeyed, kMasked, 0, 0x1.24p+4, 0x1.3p+3, 12},
+    {kToy, kLT, kRoundKeyed, kMasked, 5, 0x1.e8p+4, 0x1.68p+4, 21},
+    {kToy, kLT, kAligned, kNoMask, 0, 0x1.f8p+3, 0x0p+0, 9},
+    {kToy, kLT, kAligned, kNoMask, 5, 0x1.9p+4, 0x0p+0, 16},
+    {kToy, kLT, kAligned, kMasked, 0, 0x1.f8p+3, 0x1.cp+2, 9},
+    {kToy, kLT, kAligned, kMasked, 5, 0x1.9p+4, 0x1.34p+4, 16},
+};
+// clang-format on
+
+std::string GoldenLiteral(const GoldenRow& r) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf), "{%s, %s, %s, %s, %llu, %a, %a, %d},",
+                r.world == kYelp ? "kYelp" : "kToy",
+                r.model == kIC ? "kIC" : "kLT",
+                r.aligned ? "kAligned" : "kRoundKeyed",
+                r.masked ? "kMasked" : "kNoMask",
+                static_cast<unsigned long long>(r.sample), r.sigma,
+                r.sigma_market, r.adoptions);
+  return buf;
+}
+
+TEST(CampaignSimulatorGolden, OutcomesMatchScalarKernelBitForBit) {
+  const data::Dataset yelp = data::MakeYelpLike(0.5);
+  const Problem yelp_problem = yelp.MakeProblem(/*budget=*/500.0, 5);
+  const TinyWorld toy = SubstituteHeavyToy();
+  const SeedGroup yelp_seeds{
+      {0, 0, 1}, {14, 18, 1}, {52, 15, 2}, {111, 10, 3}, {7, 3, 5}};
+  const SeedGroup toy_seeds{{0, 0, 1}, {3, 2, 1}, {5, 4, 2}, {1, 1, 3}};
+
+  SimScratch scratch;
+  for (const GoldenRow& want : kGoldenRows) {
+    const Problem& problem =
+        want.world == kYelp ? yelp_problem : toy.problem;
+    CampaignConfig cfg;
+    cfg.model = want.model;
+    CampaignSimulator sim(problem, cfg);
+    SeedSchedule sched(want.world == kYelp ? yelp_seeds : toy_seeds, problem);
+    std::vector<uint8_t> mask(static_cast<size_t>(problem.NumUsers()));
+    for (size_t u = 0; u < mask.size(); ++u) mask[u] = u % 3 != 0;
+    sim.Restore(nullptr, nullptr, scratch);
+    sim.SimulateRounds(sched, want.sample, 1, sched.last_active_round(),
+                       want.masked ? &mask : nullptr, scratch,
+                       want.aligned ? 1 : kNoCoinAlignment);
+    GoldenRow got = want;
+    got.sigma = scratch.sigma();
+    got.sigma_market = scratch.sigma_market();
+    got.adoptions = scratch.adoptions();
+    EXPECT_EQ(got.sigma, want.sigma) << GoldenLiteral(got);
+    EXPECT_EQ(got.sigma_market, want.sigma_market) << GoldenLiteral(got);
+    EXPECT_EQ(got.adoptions, want.adoptions) << GoldenLiteral(got);
+  }
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "data/catalog.h"
 #include "kg/knowledge_graph.h"
 #include "kg/meta_graph.h"
 #include "kg/meta_graph_matcher.h"
 #include "kg/relevance.h"
+#include "tests/test_util.h"
 
 namespace imdpp::kg {
 namespace {
@@ -195,6 +198,136 @@ TEST(Fig1Toy, CatalogToyHasExpectedRelevance) {
   ASSERT_GE(sub_meta, 0);
   EXPECT_GT(ds.relevance->Score(sub_meta, 2, 3), 0.0f);
   EXPECT_FLOAT_EQ(ds.relevance->Score(sub_meta, 0, 1), 0.0f);
+}
+
+// --- Association rows -----------------------------------------------------
+
+bool HasComplementaryScore(const RelevanceModel& model, ItemId x, ItemId y) {
+  for (int m = 0; m < model.NumMetas(); ++m) {
+    if (model.KindOf(m) == RelationKind::kComplementary &&
+        model.Score(m, x, y) > 0.0f) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// The row contract: RowMetaOrder() lists the complementary metas then the
+/// substitutable ones, each ascending; AssocRow(x) is RelatedItems(x)
+/// filtered to pairs with a complementary score > 0, each pair carrying
+/// its scores in RowMetaOrder(). Returns the number of related pairs the
+/// filter dropped.
+int ExpectRowsMatchMatrices(const RelevanceModel& model) {
+  const int metas = model.NumMetas();
+  std::vector<int> want_order;
+  for (RelationKind kind :
+       {RelationKind::kComplementary, RelationKind::kSubstitutable}) {
+    for (int m = 0; m < metas; ++m) {
+      if (model.KindOf(m) == kind) want_order.push_back(m);
+    }
+  }
+  const std::span<const int> order = model.RowMetaOrder();
+  EXPECT_EQ(std::vector<int>(order.begin(), order.end()), want_order);
+  int num_c = 0;
+  for (int m = 0; m < metas; ++m) {
+    num_c += model.KindOf(m) == RelationKind::kComplementary;
+  }
+  EXPECT_EQ(model.NumComplementaryMetas(), num_c);
+
+  int dropped = 0;
+  for (ItemId x = 0; x < model.NumItems(); ++x) {
+    std::vector<ItemId> want;
+    for (ItemId y : model.RelatedItems(x)) {
+      if (HasComplementaryScore(model, x, y)) {
+        want.push_back(y);
+      } else {
+        ++dropped;
+      }
+    }
+    const RelevanceModel::AssociationRow row = model.AssocRow(x);
+    EXPECT_EQ(std::vector<ItemId>(row.items.begin(), row.items.end()), want)
+        << "x=" << x;
+    if (row.scores.size() != want.size() * static_cast<size_t>(metas)) {
+      ADD_FAILURE() << "x=" << x << ": " << row.scores.size() << " scores";
+      continue;
+    }
+    for (size_t i = 0; i < want.size(); ++i) {
+      for (int j = 0; j < metas; ++j) {
+        EXPECT_EQ(row.scores[i * metas + j],
+                  model.Score(order[j], x, want[i]))
+            << "x=" << x << " y=" << want[i] << " slot " << j;
+      }
+    }
+  }
+  return dropped;
+}
+
+constexpr RelationKind kC = RelationKind::kComplementary;
+constexpr RelationKind kS = RelationKind::kSubstitutable;
+
+TEST(RelevanceRows, FromMatricesMixedKindOrder) {
+  const RelevanceModel model =
+      testutil::MakeRandomRelevance(12, {kS, kC, kS, kC, kC}, /*seed=*/7);
+  EXPECT_EQ(model.NumComplementaryMetas(), 3);
+  // Substitute-only pairs exist and are dropped.
+  EXPECT_GT(ExpectRowsMatchMatrices(model), 0);
+  size_t pairs = 0;
+  for (ItemId x = 0; x < model.NumItems(); ++x) {
+    pairs += model.AssocRow(x).items.size();
+  }
+  EXPECT_GT(pairs, 0u);
+}
+
+TEST(RelevanceRows, FirstMetasAndSubsets) {
+  const RelevanceModel model =
+      testutil::MakeRandomRelevance(10, {kS, kC, kS, kC, kC}, /*seed=*/11);
+  for (int k = 1; k <= model.NumMetas(); ++k) {
+    SCOPED_TRACE(k);
+    ExpectRowsMatchMatrices(model.WithFirstMetas(k));
+  }
+  // Reordered subset: its own meta indices, not the parent's.
+  const RelevanceModel reordered = model.WithMetaSubset({4, 0, 3, 2});
+  ExpectRowsMatchMatrices(reordered);
+  EXPECT_EQ(std::vector<int>(reordered.RowMetaOrder().begin(),
+                             reordered.RowMetaOrder().end()),
+            (std::vector<int>{0, 2, 1, 3}));
+
+  // All complementary: every related pair gets a row entry.
+  const RelevanceModel all_c = model.WithMetaSubset({3, 1, 4});
+  EXPECT_EQ(ExpectRowsMatchMatrices(all_c), 0);
+  EXPECT_EQ(all_c.NumComplementaryMetas(), 3);
+
+  // All substitutable: no pair can trigger an extra adoption.
+  const RelevanceModel all_s = model.WithMetaSubset({2, 0});
+  EXPECT_GT(ExpectRowsMatchMatrices(all_s), 0);
+  EXPECT_EQ(all_s.NumComplementaryMetas(), 0);
+  for (ItemId x = 0; x < all_s.NumItems(); ++x) {
+    EXPECT_TRUE(all_s.AssocRow(x).items.empty());
+  }
+}
+
+TEST_F(Fig1Kg, RelevanceRowsFromKg) {
+  MetaGraph feature = SharedNeighborMeta(g_, "f", RelationKind::kComplementary,
+                                         "SUPPORTS", "FEATURE");
+  MetaGraph brand = SharedNeighborMeta(g_, "b", RelationKind::kSubstitutable,
+                                       "HAS_BRAND", "BRAND");
+  const RelevanceModel model = RelevanceModel::FromKg(g_, {brand, feature});
+  ExpectRowsMatchMatrices(model);
+  // iPhone's row: AirPods and Charger share a feature with it; the
+  // substitutable brand meta's score rides along in the second slot.
+  const RelevanceModel::AssociationRow row = model.AssocRow(iphone_);
+  EXPECT_EQ(std::vector<ItemId>(row.items.begin(), row.items.end()),
+            (std::vector<ItemId>{1, 2}));
+  EXPECT_FLOAT_EQ(row.scores[0], model.Score(1, 0, 1));
+  EXPECT_FLOAT_EQ(row.scores[1], model.Score(0, 0, 1));
+  EXPECT_GT(row.scores[1], 0.0f);
+  EXPECT_FLOAT_EQ(row.scores[3], 0.0f);  // iPhone-Charger: no shared brand
+  EXPECT_TRUE(model.AssocRow(cable_).items.empty());
+}
+
+TEST(RelevanceRows, CatalogToyFromKg) {
+  const data::Dataset ds = data::MakeFig1Toy();
+  EXPECT_GT(ExpectRowsMatchMatrices(*ds.relevance), 0);
 }
 
 }  // namespace

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "data/catalog.h"
 #include "pin/dynamics.h"
 #include "tests/test_util.h"
 
@@ -229,6 +234,90 @@ TEST(Dynamics, BundlesAllModels) {
   Dynamics dyn(*rel, params);
   EXPECT_EQ(&dyn.relevance(), rel.get());
   EXPECT_EQ(dyn.params().act_cap, params.act_cap);
+}
+
+// --- RelNetRow: the pair-major kernel's net relevance ----------------------
+
+/// Weightings that exercise every branch of RelNet: all zero, all one,
+/// weights of 2 (complementary and substitutable sums saturate past 1), and
+/// random ones with roughly a quarter of the entries zeroed.
+std::vector<std::vector<float>> TestWeightings(int metas, uint64_t seed) {
+  std::vector<std::vector<float>> ws = {
+      std::vector<float>(metas, 0.0f), std::vector<float>(metas, 1.0f),
+      std::vector<float>(metas, 2.0f)};
+  Rng rng(seed);
+  for (int k = 0; k < 24; ++k) {
+    std::vector<float> w(metas);
+    for (float& v : w) {
+      v = rng.NextBool(0.25) ? 0.0f : static_cast<float>(rng.NextUnit());
+    }
+    ws.push_back(std::move(w));
+  }
+  return ws;
+}
+
+/// RelNetRow == RelNet bit for bit: over every stored row pair (the
+/// scores the simulator streams) and over every ordered pair x != y with
+/// its scores gathered in RowMetaOrder() (which covers pairs the rows
+/// leave out, e.g. every pair of an all-substitutable model). Returns how
+/// many evaluations saturated r^C at 1.
+int ExpectRelNetRowMatches(const kg::RelevanceModel& model) {
+  PerceptionParams params;
+  PersonalItemNetwork pin(model, params);
+  const int metas = model.NumMetas();
+  const std::span<const int> order = model.RowMetaOrder();
+  int saturated = 0;
+  for (const std::vector<float>& w : TestWeightings(metas, 5)) {
+    for (kg::ItemId x = 0; x < model.NumItems(); ++x) {
+      const kg::RelevanceModel::AssociationRow row = model.AssocRow(x);
+      for (size_t i = 0; i < row.items.size(); ++i) {
+        const double got =
+            pin.RelNetRow(w, row.scores.subspan(i * metas, metas));
+        const double want = pin.RelNet(w, x, row.items[i]);
+        EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+            << "x=" << x << " y=" << row.items[i] << ": " << got
+            << " vs " << want;
+      }
+      std::vector<float> scores(metas);
+      for (kg::ItemId y = 0; y < model.NumItems(); ++y) {
+        if (y == x) continue;
+        for (int j = 0; j < metas; ++j) scores[j] = model.Score(order[j], x, y);
+        const double got = pin.RelNetRow(w, scores);
+        const double want = pin.RelNet(w, x, y);
+        EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+            << "x=" << x << " y=" << y << ": " << got << " vs " << want;
+        saturated += pin.RelC(w, x, y) == 1.0;
+      }
+    }
+  }
+  return saturated;
+}
+
+constexpr kg::RelationKind kC = kg::RelationKind::kComplementary;
+constexpr kg::RelationKind kS = kg::RelationKind::kSubstitutable;
+
+TEST(PersonalItemNetwork, RelNetRowMatchesRelNetFromMatrices) {
+  const kg::RelevanceModel model =
+      testutil::MakeRandomRelevance(12, {kS, kC, kS, kC, kC}, /*seed=*/3);
+  EXPECT_GT(ExpectRelNetRowMatches(model), 0);
+  EXPECT_GT(ExpectRelNetRowMatches(*ThreeItemRel()), 0);
+}
+
+TEST(PersonalItemNetwork, RelNetRowMatchesRelNetOnRestrictedModels) {
+  const kg::RelevanceModel model =
+      testutil::MakeRandomRelevance(10, {kC, kS, kS, kC, kS, kC}, /*seed=*/9);
+  for (int k = 1; k <= model.NumMetas(); ++k) {
+    SCOPED_TRACE(k);
+    ExpectRelNetRowMatches(model.WithFirstMetas(k));
+  }
+  ExpectRelNetRowMatches(model.WithMetaSubset({4, 5, 1, 0}));  // reordered
+  EXPECT_GT(ExpectRelNetRowMatches(model.WithMetaSubset({5, 0, 3})), 0);
+  EXPECT_EQ(ExpectRelNetRowMatches(model.WithMetaSubset({2, 4, 1})), 0);
+}
+
+TEST(PersonalItemNetwork, RelNetRowMatchesRelNetFromKg) {
+  const data::Dataset ds = data::MakeFig1Toy();
+  ExpectRelNetRowMatches(*ds.relevance);
 }
 
 }  // namespace

@@ -2,13 +2,16 @@
 #ifndef IMDPP_TESTS_TEST_UTIL_H_
 #define IMDPP_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "diffusion/problem.h"
 #include "graph/graph_builder.h"
 #include "kg/relevance.h"
 #include "pin/perception_params.h"
+#include "util/rng.h"
 
 namespace imdpp::testutil {
 
@@ -32,6 +35,31 @@ inline std::unique_ptr<kg::RelevanceModel> MakeRelevance(
   };
   return std::make_unique<kg::RelevanceModel>(kg::RelevanceModel::FromMatrices(
       num_items, std::move(metas), {std::move(comp), std::move(sub)}));
+}
+
+/// Relevance model with one meta per entry of `kinds`, in that order, and
+/// pseudo-random sparse scores: each off-diagonal score is 0 with
+/// probability 0.6, else uniform in (0, 1]. Reproducible per seed.
+inline kg::RelevanceModel MakeRandomRelevance(
+    int num_items, const std::vector<kg::RelationKind>& kinds,
+    uint64_t seed) {
+  Rng rng(seed);
+  std::vector<kg::MetaGraph> metas;
+  std::vector<std::vector<float>> matrices;
+  for (kg::RelationKind kind : kinds) {
+    metas.push_back({std::to_string(metas.size()), kind, {}});
+    std::vector<float> mat(static_cast<size_t>(num_items) * num_items, 0.0f);
+    for (int x = 0; x < num_items; ++x) {
+      for (int y = 0; y < num_items; ++y) {
+        if (x == y || !rng.NextBool(0.4)) continue;
+        mat[static_cast<size_t>(x) * num_items + y] =
+            static_cast<float>(1.0 - rng.NextUnit());
+      }
+    }
+    matrices.push_back(std::move(mat));
+  }
+  return kg::RelevanceModel::FromMatrices(num_items, std::move(metas),
+                                          std::move(matrices));
 }
 
 /// All-zero relevance (items unrelated).
