@@ -127,45 +127,45 @@ void MonteCarloEngine::RunShards(const std::function<void(int)>& fn) const {
   }
 }
 
-bool MonteCarloEngine::MemoLookup(const SeedGroup& seeds,
-                                  double* sigma) const {
+bool MonteCarloEngine::Answered(const SeedGroup& seeds,
+                                const std::vector<UserId>* market,
+                                MarketEval* eval) const {
+  if (!BeginEstimate()) return true;
   if (!MemoEnabled()) return false;
-  auto it = sigma_memo_.find(seeds);
-  if (it == sigma_memo_.end()) return false;
-  ++num_memo_hits_;
-  num_rounds_skipped_ += static_cast<int64_t>(num_samples_) *
-                         sim_.problem().num_promotions;
-  *sigma = it->second;
-  return true;
-}
-
-void MonteCarloEngine::MemoStore(const SeedGroup& seeds, double sigma) const {
-  if (!MemoEnabled() || sigma_memo_.size() >= sigma_memo_capacity_) return;
-  sigma_memo_.emplace(seeds, sigma);
-}
-
-bool MonteCarloEngine::MarketMemoLookup(const SeedGroup& seeds,
-                                        const std::vector<UserId>& users,
-                                        MarketEval* eval) const {
-  if (!MemoEnabled()) return false;
-  auto market_it = market_memo_.find(users);
-  if (market_it == market_memo_.end()) return false;
-  auto it = market_it->second.find(seeds);
-  if (it == market_it->second.end()) return false;
-  ++num_memo_hits_;
-  num_rounds_skipped_ += static_cast<int64_t>(num_samples_) *
-                         sim_.problem().num_promotions;
-  *eval = it->second;
-  return true;
-}
-
-void MonteCarloEngine::MarketMemoStore(const SeedGroup& seeds,
-                                       const std::vector<UserId>& users,
-                                       const MarketEval& eval) const {
-  if (!MemoEnabled() || market_memo_entries_ >= sigma_memo_capacity_) return;
-  if (market_memo_[users].emplace(seeds, eval).second) {
-    ++market_memo_entries_;
+  if (market == nullptr) {
+    auto it = sigma_memo_.find(seeds);
+    if (it == sigma_memo_.end()) return false;
+    eval->sigma = it->second;
+  } else {
+    auto market_it = market_memo_.find(*market);
+    if (market_it == market_memo_.end()) return false;
+    auto it = market_it->second.find(seeds);
+    if (it == market_it->second.end()) return false;
+    *eval = it->second;
   }
+  ++num_memo_hits_;
+  num_rounds_skipped_ += static_cast<int64_t>(num_samples_) *
+                         sim_.problem().num_promotions;
+  RecordSigmaEstimate(eval->sigma);
+  return true;
+}
+
+MarketEval MonteCarloEngine::Remember(const SeedGroup& seeds,
+                                      const std::vector<UserId>* market,
+                                      const MarketEval& eval) const {
+  if (Cancelled()) return eval;
+  if (MemoEnabled()) {
+    if (market == nullptr) {
+      if (sigma_memo_.size() < kMemoCapacity) {
+        sigma_memo_.emplace(seeds, eval.sigma);
+      }
+    } else if (market_memo_entries_ < kMemoCapacity &&
+               market_memo_[*market].emplace(seeds, eval).second) {
+      ++market_memo_entries_;
+    }
+  }
+  RecordSigmaEstimate(eval.sigma);
+  return eval;
 }
 
 const std::vector<uint8_t>* MonteCarloEngine::CachedMask(
@@ -187,77 +187,68 @@ void MonteCarloEngine::ChargeEstimate(int rounds_run) const {
       samples * (sim_.problem().num_promotions - rounds_run);
 }
 
-double MonteCarloEngine::Sigma(const SeedGroup& seeds) const {
-  util::trace::Span span("mc.sigma");
-  util::MutexLock lock(mu_);
-  if (!BeginEstimate()) return 0.0;
-  double memoized = 0.0;
-  if (MemoLookup(seeds, &memoized)) {
-    RecordSigmaEstimate(memoized);
-    return memoized;
-  }
-  const SeedSchedule sched(seeds, sim_.problem());
-  const int t_end = sched.last_active_round();
-  std::vector<double> partial(NumShards(), 0.0);
-  int rounds_run = 0;
+// --------------------------------------------------------------------------
+// The sample kernel and what is built on it
+
+template <typename PerSample>
+int MonteCarloEngine::RunSamples(const SampleRun& run, int s_begin,
+                                 int s_end, PerSample&& per_sample) const {
+  const std::vector<pin::UserState>* initial = initial_states_;
+  std::vector<int> rounds_by_shard(NumShards(), -1);
   RunShards([&](int shard) {
     SimScratch& scratch = LocalScratch();
-    double total = 0.0;
-    int rounds = 0;
-    const int end = ShardBegin(shard + 1);
-    for (int s = ShardBegin(shard); s < end; ++s) {
+    const int lo = std::max(ShardBegin(shard), s_begin);
+    const int hi = std::min(ShardBegin(shard + 1), s_end);
+    int rounds = -1;
+    for (int s = lo; s < hi; ++s) {
       if (!cancel_->Check().ok()) break;
-      sim_.Restore(nullptr, initial_states_, scratch);
-      rounds = sim_.SimulateRounds(sched, static_cast<uint64_t>(s), 1, t_end,
-                                   nullptr, scratch);
-      total += scratch.sigma();
+      const auto sample = static_cast<size_t>(s);
+      sim_.Restore(run.resume == 0
+                       ? nullptr
+                       : &run.lattice->rows[static_cast<size_t>(
+                             run.resume - 1)][sample],
+                   initial, scratch);
+      if (run.capture) {
+        rounds = 0;
+        for (int k = run.resume + 1; k <= run.t_end; ++k) {
+          rounds += sim_.SimulateRounds(*run.sched, sample, k, k, run.mask,
+                                        scratch, run.align_from);
+          sim_.Capture(scratch,
+                       run.lattice->rows[static_cast<size_t>(k - 1)][sample]);
+        }
+      } else {
+        rounds = sim_.SimulateRounds(*run.sched, sample, run.resume + 1,
+                                     run.t_end, run.mask, scratch,
+                                     run.align_from);
+      }
+      per_sample(shard, s, scratch);
     }
-    partial[shard] = total;
-    if (shard == 0) rounds_run = rounds;  // schedule property: same for all
+    rounds_by_shard[shard] = rounds;
   });
-  if (Cancelled()) return 0.0;
-  double total = 0.0;
-  for (double p : partial) total += p;  // fixed shard order
-  ChargeEstimate(rounds_run);
-  const double sigma = total / num_samples_;
-  MemoStore(seeds, sigma);
-  RecordSigmaEstimate(sigma);
-  return sigma;
+  if (Cancelled()) return -1;
+  // The rounds executed per sample are a schedule property; take the first
+  // shard that ran samples of the range (a fixed function of the shard
+  // layout and the range — deterministic).
+  for (int rounds : rounds_by_shard) {
+    if (rounds >= 0) return rounds;
+  }
+  return 0;
 }
 
-MonteCarloEngine::MarketEval MonteCarloEngine::EvalMarket(
-    const SeedGroup& seeds, const std::vector<UserId>& users) const {
-  util::trace::Span span("mc.eval_market");
-  util::MutexLock lock(mu_);
-  if (!BeginEstimate()) return MarketEval{};
-  MarketEval memoized;
-  if (MarketMemoLookup(seeds, users, &memoized)) {
-    RecordSigmaEstimate(memoized.sigma);
-    return memoized;
-  }
-  const std::vector<uint8_t>* mask = CachedMask(users);
-  const SeedSchedule sched(seeds, sim_.problem());
-  const int t_end = sched.last_active_round();
+MarketEval MonteCarloEngine::EstimateMarket(
+    const SampleRun& run, const std::vector<UserId>* pi_market) const {
   std::vector<MarketEval> partial(NumShards());
-  int rounds_run = 0;
-  RunShards([&](int shard) {
-    SimScratch& scratch = LocalScratch();
-    MarketEval acc;
-    int rounds = 0;
-    const int end = ShardBegin(shard + 1);
-    for (int s = ShardBegin(shard); s < end; ++s) {
-      if (!cancel_->Check().ok()) break;
-      sim_.Restore(nullptr, initial_states_, scratch);
-      rounds = sim_.SimulateRounds(sched, static_cast<uint64_t>(s), 1, t_end,
-                                   mask, scratch);
-      acc.sigma += scratch.sigma();
-      acc.sigma_market += scratch.sigma_market();
-      acc.pi += sim_.LikelihoodPi(scratch.states(), users);
-    }
-    partial[shard] = acc;
-    if (shard == 0) rounds_run = rounds;
-  });
-  if (Cancelled()) return MarketEval{};
+  const int rounds_run = RunSamples(
+      run, 0, num_samples_,
+      [&](int shard, int, const SimScratch& scratch) {
+        MarketEval& acc = partial[shard];  // per-shard slot
+        acc.sigma += scratch.sigma();
+        acc.sigma_market += scratch.sigma_market();
+        if (pi_market != nullptr) {
+          acc.pi += sim_.LikelihoodPi(scratch.states(), *pi_market);
+        }
+      });
+  if (rounds_run < 0) return MarketEval{};
   MarketEval out;
   for (const MarketEval& acc : partial) {  // fixed shard order
     out.sigma += acc.sigma;
@@ -268,55 +259,26 @@ MonteCarloEngine::MarketEval MonteCarloEngine::EvalMarket(
   out.sigma /= num_samples_;
   out.sigma_market /= num_samples_;
   out.pi /= num_samples_;
-  MarketMemoStore(seeds, users, out);
-  RecordSigmaEstimate(out.sigma);
   return out;
 }
 
-ExpectedState MonteCarloEngine::Expected(const SeedGroup& seeds) const {
-  util::MutexLock lock(mu_);
-  if (!BeginEstimate()) {
-    const Problem& p = sim_.problem();
-    return ExpectedState(p.NumUsers(), p.NumItems(), p.NumMetas());
-  }
-  return ExpectedFrom(SeedSchedule(seeds, sim_.problem()), 1, nullptr);
-}
-
-ExpectedState MonteCarloEngine::ExpectedFrom(
-    const SeedSchedule& sched, int t_begin,
-    const std::vector<SampleCheckpoint>* start) const {
+ExpectedState MonteCarloEngine::ExpectedFrom(const SampleRun& run) const {
   const Problem& p = sim_.problem();
-  const int num_shards = NumShards();
-  const int t_end = sched.last_active_round();
   ExpectedState es(p.NumUsers(), p.NumItems(), p.NumMetas());
-  int rounds_run = 0;
   // Raw per-shard sums (adoption counts, weighting totals), scaled by
   // 1/num_samples only after the shard-order fold so the arithmetic is
   // identical for every thread count.
-  auto accumulate = [&](int shard, ExpectedState& acc) {
-    SimScratch& scratch = LocalScratch();
-    int rounds = 0;
-    const int end = ShardBegin(shard + 1);
-    for (int s = ShardBegin(shard); s < end; ++s) {
-      if (!cancel_->Check().ok()) break;
-      sim_.Restore(start == nullptr ? nullptr
-                                    : &(*start)[static_cast<size_t>(s)],
-                   initial_states_, scratch);
-      rounds = sim_.SimulateRounds(sched, static_cast<uint64_t>(s), t_begin,
-                                   t_end, nullptr, scratch);
-      for (UserId u = 0; u < p.NumUsers(); ++u) {
-        const pin::UserState& st = scratch.states()[u];
-        for (ItemId x : st.Adopted()) {
-          acc.adoption_prob_[static_cast<size_t>(u) * p.NumItems() + x] +=
-              1.0f;
-        }
-        const std::vector<float>& w = st.wmeta();
-        for (int m = 0; m < p.NumMetas(); ++m) {
-          acc.avg_wmeta_[static_cast<size_t>(u) * p.NumMetas() + m] += w[m];
-        }
+  auto accumulate = [&](ExpectedState& acc, const SimScratch& scratch) {
+    for (UserId u = 0; u < p.NumUsers(); ++u) {
+      const pin::UserState& st = scratch.states()[u];
+      for (ItemId x : st.Adopted()) {
+        acc.adoption_prob_[static_cast<size_t>(u) * p.NumItems() + x] += 1.0f;
+      }
+      const std::vector<float>& w = st.wmeta();
+      for (int m = 0; m < p.NumMetas(); ++m) {
+        acc.avg_wmeta_[static_cast<size_t>(u) * p.NumMetas() + m] += w[m];
       }
     }
-    if (shard == 0) rounds_run = rounds;
   };
   auto fold = [&](const ExpectedState& acc) {
     for (size_t i = 0; i < es.adoption_prob_.size(); ++i) {
@@ -326,22 +288,31 @@ ExpectedState MonteCarloEngine::ExpectedFrom(
       es.avg_wmeta_[i] += acc.avg_wmeta_[i];
     }
   };
+  int rounds_run = 0;
   if (RunsParallel()) {
     // One partial per shard (workers complete out of order), folded in
     // shard order afterwards.
-    std::vector<ExpectedState> partial(num_shards, es);
-    RunShards([&](int shard) { accumulate(shard, partial[shard]); });
+    std::vector<ExpectedState> partial(NumShards(), es);
+    rounds_run = RunSamples(run, 0, num_samples_,
+                            [&](int shard, int, const SimScratch& scratch) {
+                              accumulate(partial[shard], scratch);
+                            });
     for (const ExpectedState& acc : partial) fold(acc);
   } else {
     // Serial fallback: one partial reused shard by shard — the identical
     // reduction tree at 1/num_shards-th the memory.
     ExpectedState shard_acc = es;
-    for (int shard = 0; shard < num_shards; ++shard) {
+    for (int shard = 0; shard < NumShards(); ++shard) {
       std::fill(shard_acc.adoption_prob_.begin(),
                 shard_acc.adoption_prob_.end(), 0.0f);
       std::fill(shard_acc.avg_wmeta_.begin(), shard_acc.avg_wmeta_.end(),
                 0.0f);
-      accumulate(shard, shard_acc);
+      const int rounds = RunSamples(
+          run, ShardBegin(shard), ShardBegin(shard + 1),
+          [&](int, int, const SimScratch& scratch) {
+            accumulate(shard_acc, scratch);
+          });
+      if (shard == 0) rounds_run = rounds;
       fold(shard_acc);
     }
   }
@@ -355,8 +326,46 @@ ExpectedState MonteCarloEngine::ExpectedFrom(
   return es;
 }
 
-// --------------------------------------------------------------------------
-// Adaptive SelectBest (ISSUE 10)
+void MonteCarloEngine::Extend(Lattice& lattice, int rounds_upto,
+                              int samples_upto) const {
+  rounds_upto = std::min(std::max(rounds_upto, lattice.rounds_ready),
+                         lattice.base->last_active_round());
+  samples_upto =
+      std::min(std::max(samples_upto, lattice.samples_ready), num_samples_);
+  if (rounds_upto <= 0 || samples_upto <= 0) return;
+  if (rounds_upto <= lattice.rounds_ready &&
+      samples_upto <= lattice.samples_ready) {
+    return;
+  }
+  lattice.rows.resize(static_cast<size_t>(rounds_upto));
+  for (auto& row : lattice.rows) row.resize(static_cast<size_t>(num_samples_));
+  // Two strips, both simulating the base and freezing every boundary:
+  // first deepen the already-built samples to the new round watermark,
+  // then run the brand-new samples from round 0 to that same watermark.
+  const struct {
+    int s_begin, s_end, from;
+  } strips[] = {{0, lattice.samples_ready, lattice.rounds_ready},
+                {lattice.samples_ready, samples_upto, 0}};
+  for (const auto& strip : strips) {
+    if (strip.s_begin >= strip.s_end || strip.from >= rounds_upto) continue;
+    const int rounds = RunSamples(
+        {.sched = lattice.base, .resume = strip.from, .t_end = rounds_upto,
+         .mask = lattice.mask, .align_from = lattice.align_from,
+         .lattice = &lattice, .capture = true},
+        strip.s_begin, strip.s_end, [](int, int, const SimScratch&) {});
+    if (rounds < 0) return;
+    // Moved from the skipped to the simulated bucket, so simulated +
+    // skipped stays exactly the naive T-rounds-per-sample total over the
+    // estimates made (a transiently negative skipped count just means
+    // rows were built but not yet reused).
+    const int64_t built = static_cast<int64_t>(strip.s_end - strip.s_begin) *
+                          rounds;
+    num_rounds_simulated_ += built;
+    num_rounds_skipped_ -= built;
+  }
+  lattice.rounds_ready = rounds_upto;
+  lattice.samples_ready = samples_upto;
+}
 
 // Race simulations draw time-aligned (attempt-ordinal) coins from round 1
 // on — see the campaign_simulator.h file comment. Keying by each
@@ -368,40 +377,125 @@ ExpectedState MonteCarloEngine::ExpectedFrom(
 // sentinel.
 inline constexpr int kRaceAlignFromRound = 1;
 
-MonteCarloEngine::RaceOutcome MonteCarloEngine::RaceSelect(
-    int num_candidates, const AdaptiveEvalConfig& config,
-    const std::function<int(int, int, int, AdaptiveEval&)>& eval_block)
-    const {
-  AdaptiveEval race(num_candidates, num_samples_, config);
-  RaceOutcome out;
-  const int t_max = sim_.problem().num_promotions;
-  while (!race.done()) {
-    const int begin = race.block_begin();
-    const int end = race.block_end();
-    for (int i = 0; i < num_candidates; ++i) {
-      if (!race.IsAlive(i)) continue;
-      const int rounds_run = eval_block(i, begin, end, race);
-      // A fired token mid-block leaves that block uncharged (mirroring
-      // interrupted plain estimates); earlier completed blocks stay
-      // booked — the caller reads the error off the token.
-      if (rounds_run < 0) return RaceOutcome{};
-      const int64_t block = end - begin;
-      num_simulations_ += block;
-      num_rounds_simulated_ += block * rounds_run;
-      num_rounds_skipped_ += block * (t_max - rounds_run);
-      out.samples += block;
+SelectBestResult MonteCarloEngine::Race(
+    const std::vector<SelectCandidate>& candidates,
+    const SelectOptions& options, const std::vector<Racer>& racers,
+    Lattice* lattice, const std::vector<UserId>* pi_market,
+    const std::function<MarketEval(const SeedGroup&)>& reevaluate) const {
+  util::trace::Span span("mc.select_best");
+  const int num_candidates = static_cast<int>(candidates.size());
+  int winner = -1;
+  int64_t raced_samples = 0;
+  {
+    util::MutexLock lock(mu_);
+    // Lattices freeze the diffusion from the problem's initial state.
+    IMDPP_CHECK(lattice == nullptr || initial_states_ == nullptr);
+    if (!BeginEstimate()) return SelectBestResult{};
+    int max_resume = 0;
+    for (const Racer& racer : racers) {
+      max_resume = std::max(max_resume, racer.resume);
     }
-    race.EndBlock();
+    const int t_max = sim_.problem().num_promotions;
+    AdaptiveEval race(num_candidates, num_samples_, options.adaptive);
+    while (!race.done()) {
+      const int begin = race.block_begin();
+      const int end = race.block_end();
+      // The lattice grows with the race's blocks, so an early stop never
+      // pays for prefixes of samples it did not race.
+      if (lattice != nullptr) Extend(*lattice, max_resume, end);
+      for (int i = 0; i < num_candidates; ++i) {
+        if (!race.IsAlive(i)) continue;
+        const Racer& racer = racers[static_cast<size_t>(i)];
+        const SelectCandidate& candidate = candidates[static_cast<size_t>(i)];
+        const int rounds_run = RunSamples(
+            {.sched = &racer.sched, .resume = racer.resume,
+             .t_end = racer.sched.last_active_round(),
+             .mask = lattice == nullptr ? nullptr : lattice->mask,
+             .align_from = kRaceAlignFromRound, .lattice = lattice},
+            begin, end, [&](int, int s, const SimScratch& scratch) {
+              MarketEval eval;
+              eval.sigma = scratch.sigma();
+              eval.sigma_market = scratch.sigma_market();
+              if (pi_market != nullptr) {
+                eval.pi = sim_.LikelihoodPi(scratch.states(), *pi_market);
+              }
+              race.Record(i, s, candidate.ScoreOf(eval));
+            });
+        // A fired token mid-block leaves that block uncharged (mirroring
+        // interrupted plain estimates); earlier completed blocks stay
+        // booked — the caller reads the error off the token.
+        if (rounds_run < 0) return SelectBestResult{};
+        const int64_t block = end - begin;
+        num_simulations_ += block;
+        num_rounds_simulated_ += block * rounds_run;
+        num_rounds_skipped_ += block * (t_max - rounds_run);
+        raced_samples += block;
+      }
+      race.EndBlock();
+    }
+    // Samples the race never ran are whole-sample skips — the fixed-count
+    // path would have simulated them — so simulated + skipped still adds
+    // up to the naive candidates × num_samples × T total for this argmax.
+    num_rounds_skipped_ += race.samples_saved() * t_max;
+    blocks_run_ += race.blocks_run();
+    early_stops_ += race.early_stops();
+    samples_saved_ += race.samples_saved();
+    winner = race.Winner();
   }
-  // Samples the race never ran are whole-sample skips — the fixed-count
-  // path would have simulated them — so simulated + skipped still adds
-  // up to the naive candidates × num_samples × T total for this argmax.
-  num_rounds_skipped_ += race.samples_saved() * t_max;
-  blocks_run_ += race.blocks_run();
-  early_stops_ += race.early_stops();
-  samples_saved_ += race.samples_saved();
-  out.winner = race.Winner();
-  return out;
+  if (winner < 0) return SelectBestResult{};
+  const SelectCandidate& best = candidates[static_cast<size_t>(winner)];
+  const MarketEval eval = reevaluate(best.group);
+  if (Cancelled()) return SelectBestResult{};
+  const double score = best.ScoreOf(eval);
+  SelectBestResult result;
+  result.samples_used = raced_samples + num_samples_;
+  if (score > options.min_score) {
+    result.best_index = winner;
+    result.best_score = score;
+    result.best_eval = eval;
+  }
+  return result;
+}
+
+// --------------------------------------------------------------------------
+// Engine estimates: resumes from round 0
+
+double MonteCarloEngine::Sigma(const SeedGroup& seeds) const {
+  util::trace::Span span("mc.sigma");
+  util::MutexLock lock(mu_);
+  MarketEval eval;
+  if (Answered(seeds, nullptr, &eval)) return eval.sigma;
+  const SeedSchedule sched(seeds, sim_.problem());
+  return Remember(seeds, nullptr,
+                  EstimateMarket({.sched = &sched,
+                                  .t_end = sched.last_active_round()},
+                                 nullptr))
+      .sigma;
+}
+
+MarketEval MonteCarloEngine::EvalMarket(
+    const SeedGroup& seeds, const std::vector<UserId>& users) const {
+  util::trace::Span span("mc.eval_market");
+  util::MutexLock lock(mu_);
+  MarketEval eval;
+  if (Answered(seeds, &users, &eval)) return eval;
+  const std::vector<uint8_t>* mask = CachedMask(users);
+  const SeedSchedule sched(seeds, sim_.problem());
+  return Remember(seeds, &users,
+                  EstimateMarket({.sched = &sched,
+                                  .t_end = sched.last_active_round(),
+                                  .mask = mask},
+                                 &users));
+}
+
+ExpectedState MonteCarloEngine::Expected(const SeedGroup& seeds) const {
+  util::MutexLock lock(mu_);
+  if (!BeginEstimate()) {
+    const Problem& p = sim_.problem();
+    return ExpectedState(p.NumUsers(), p.NumItems(), p.NumMetas());
+  }
+  const SeedSchedule sched(seeds, sim_.problem());
+  return ExpectedFrom({.sched = &sched, .t_end = sched.last_active_round()});
 }
 
 SelectBestResult MonteCarloEngine::SelectBest(
@@ -414,73 +508,16 @@ SelectBestResult MonteCarloEngine::SelectBest(
     return SigmaBackend::SelectBest(candidates, options);
   }
   IMDPP_CHECK(!options.use_market);
-  util::trace::Span span("mc.select_best");
-  int winner = -1;
-  int64_t raced_samples = 0;
-  {
-    util::MutexLock lock(mu_);
-    if (!BeginEstimate()) return SelectBestResult{};
-    // Schedules are pure functions of the groups; build them once.
-    std::vector<SeedSchedule> scheds;
-    scheds.reserve(candidates.size());
-    for (const SelectCandidate& c : candidates) {
-      scheds.emplace_back(c.group, sim_.problem());
-    }
-    auto eval_block = [&](int cand, int begin, int end,
-                          AdaptiveEval& race) -> int {
-      const SeedSchedule& sched = scheds[static_cast<size_t>(cand)];
-      const int t_end = sched.last_active_round();
-      const auto& score = candidates[static_cast<size_t>(cand)].score;
-      std::vector<int> rounds_by_shard(NumShards(), -1);
-      RunShards([&](int shard) {
-        SimScratch& scratch = LocalScratch();
-        const int lo = std::max(ShardBegin(shard), begin);
-        const int hi = std::min(ShardBegin(shard + 1), end);
-        int rounds = -1;
-        for (int s = lo; s < hi; ++s) {
-          if (!cancel_->Check().ok()) break;
-          sim_.Restore(nullptr, initial_states_, scratch);
-          rounds = sim_.SimulateRounds(sched, static_cast<uint64_t>(s), 1,
-                                       t_end, nullptr, scratch,
-                                       kRaceAlignFromRound);
-          MarketEval eval;
-          eval.sigma = scratch.sigma();
-          race.Record(cand, s, score ? score(eval) : eval.sigma);
-        }
-        rounds_by_shard[shard] = rounds;
-      });
-      if (Cancelled()) return -1;
-      // The rounds executed per sample are a schedule property; take the
-      // first shard that ran samples of this block (a fixed function of
-      // the shard layout and block bounds — deterministic).
-      for (int rounds : rounds_by_shard) {
-        if (rounds >= 0) return rounds;
-      }
-      return 0;
-    };
-    const RaceOutcome raced = RaceSelect(static_cast<int>(candidates.size()),
-                                         options.adaptive, eval_block);
-    winner = raced.winner;
-    raced_samples = raced.samples;
+  // Every racer simulates from round 0, so SetInitialStates applies.
+  std::vector<Racer> racers;
+  racers.reserve(candidates.size());
+  for (const SelectCandidate& c : candidates) {
+    racers.push_back({SeedSchedule(c.group, sim_.problem())});
   }
-  if (winner < 0) return SelectBestResult{};
-  // Full-precision winner re-evaluation through the normal estimate path
-  // (memo-aware, histogram-recorded): downstream arithmetic must see the
-  // exact bits a direct Sigma call would have produced.
-  MarketEval eval;
-  eval.sigma = Sigma(candidates[static_cast<size_t>(winner)].group);
-  if (Cancelled()) return SelectBestResult{};
-  const double score = candidates[static_cast<size_t>(winner)].score
-                           ? candidates[static_cast<size_t>(winner)].score(eval)
-                           : eval.sigma;
-  SelectBestResult result;
-  result.samples_used = raced_samples + num_samples_;
-  if (score > options.min_score) {
-    result.best_index = winner;
-    result.best_score = score;
-    result.best_eval = eval;
-  }
-  return result;
+  return Race(candidates, options, racers, /*lattice=*/nullptr,
+              /*pi_market=*/nullptr, [this](const SeedGroup& group) {
+                return MarketEval{.sigma = Sigma(group)};
+              });
 }
 
 // --------------------------------------------------------------------------
@@ -499,6 +536,12 @@ CheckpointedEval::CheckpointedEval(const MonteCarloEngine& engine,
   }
   base_ = std::move(base);
   base_sched_ = SeedSchedule(base_, engine_.sim_.problem());
+  // Both lattices embed the market's σ_τ partials, so one CheckpointedEval
+  // serves exactly one market.
+  const std::vector<uint8_t>* mask = mask_.empty() ? nullptr : &mask_;
+  cp_ = {.base = &base_sched_, .mask = mask};
+  aligned_cp_ = {.base = &base_sched_, .mask = mask,
+                 .align_from = kRaceAlignFromRound};
 }
 
 int CheckpointedEval::FirstDivergence(const SeedSchedule& a,
@@ -509,251 +552,67 @@ int CheckpointedEval::FirstDivergence(const SeedSchedule& a,
   return t_max + 1;
 }
 
+int CheckpointedEval::SharedPrefix(const SeedSchedule& sched) const {
+  return std::min(FirstDivergence(base_sched_, sched,
+                                  engine_.sim_.problem().num_promotions) -
+                      1,
+                  base_sched_.last_active_round());
+}
+
 void CheckpointedEval::Rebase(SeedGroup base) {
   SeedSchedule sched(base, engine_.sim_.problem());
-  const int diverge = FirstDivergence(base_sched_, sched,
-                                      engine_.sim_.problem().num_promotions);
-  rounds_ready_ = std::min(rounds_ready_, diverge - 1);
-  cp_.resize(static_cast<size_t>(rounds_ready_));
-  aligned_rounds_ready_ = std::min(aligned_rounds_ready_, diverge - 1);
-  aligned_cp_.resize(static_cast<size_t>(aligned_rounds_ready_));
+  const int shared = FirstDivergence(base_sched_, sched,
+                                     engine_.sim_.problem().num_promotions) -
+                     1;
+  cp_.Truncate(shared);
+  aligned_cp_.Truncate(shared);
   base_ = std::move(base);
   base_sched_ = std::move(sched);
 }
 
-void CheckpointedEval::EnsureCheckpoints(int upto) {
-  upto = std::min(upto, base_sched_.last_active_round());
-  if (upto <= rounds_ready_) return;
-  const int num_samples = engine_.num_samples_;
-  cp_.resize(static_cast<size_t>(upto));
-  for (int k = rounds_ready_; k < upto; ++k) {
-    cp_[static_cast<size_t>(k)].resize(static_cast<size_t>(num_samples));
-  }
-  const int from = rounds_ready_;
-  const std::vector<uint8_t>* mask = mask_.empty() ? nullptr : &mask_;
-  int rounds_built = 0;
-  engine_.RunShards([&](int shard) {
-    SimScratch& scratch = LocalScratch();
-    int rounds = 0;
-    const int end = engine_.ShardBegin(shard + 1);
-    for (int s = engine_.ShardBegin(shard); s < end; ++s) {
-      if (!engine_.cancel_->Check().ok()) break;
-      const SampleCheckpoint* start =
-          from == 0 ? nullptr
-                    : &cp_[static_cast<size_t>(from - 1)][static_cast<size_t>(s)];
-      engine_.sim_.Restore(start, nullptr, scratch);
-      rounds = 0;
-      for (int k = from + 1; k <= upto; ++k) {
-        rounds += engine_.sim_.SimulateRounds(base_sched_,
-                                              static_cast<uint64_t>(s), k, k,
-                                              mask, scratch);
-        engine_.sim_.Capture(
-            scratch, cp_[static_cast<size_t>(k - 1)][static_cast<size_t>(s)]);
-      }
-    }
-    if (shard == 0) rounds_built = rounds;
-  });
-  // A build the token interrupted left some samples unfrozen: advancing
-  // rounds_ready_ would later resume from half-built checkpoints, so
-  // leave the ready watermark (and the work accounting) untouched — the
-  // next uncancelled build redoes these rounds from the old watermark.
-  if (engine_.Cancelled()) return;
-  // Building is amortized shared work, not an estimate of its own: move
-  // its rounds from the skipped to the simulated bucket so that
-  // simulated + skipped stays exactly the naive T-rounds-per-sample
-  // total over the estimates made (a transiently negative skipped count
-  // just means checkpoints were built but not yet reused).
-  engine_.num_rounds_simulated_ +=
-      static_cast<int64_t>(num_samples) * rounds_built;
-  engine_.num_rounds_skipped_ -=
-      static_cast<int64_t>(num_samples) * rounds_built;
-  rounds_ready_ = upto;
-}
-
-void CheckpointedEval::EnsureAlignedCheckpoints(int rounds_upto,
-                                                int samples_upto) {
-  rounds_upto = std::max(rounds_upto, aligned_rounds_ready_);
-  rounds_upto = std::min(rounds_upto, base_sched_.last_active_round());
-  samples_upto = std::max(samples_upto, aligned_samples_ready_);
-  samples_upto = std::min(samples_upto, engine_.num_samples_);
-  if (rounds_upto <= 0 || samples_upto <= 0) return;
-  if (rounds_upto <= aligned_rounds_ready_ &&
-      samples_upto <= aligned_samples_ready_) {
-    return;
-  }
-  aligned_cp_.resize(static_cast<size_t>(rounds_upto));
-  for (auto& row : aligned_cp_) {
-    row.resize(static_cast<size_t>(engine_.num_samples_));
-  }
-  const std::vector<uint8_t>* mask = mask_.empty() ? nullptr : &mask_;
-  // Extends the valid rectangle in two strips, both simulating the base
-  // schedule with race-aligned coins and freezing every boundary: first
-  // deepen the already-built samples to the new round watermark, then
-  // run the brand-new samples from scratch to that same watermark.
-  // Work is booked like EnsureCheckpoints: amortized shared build,
-  // moved from the skipped to the simulated bucket.
-  auto build = [&](int s_begin, int s_end, int from, int upto) {
-    if (s_begin >= s_end || from >= upto) return;
-    std::vector<int> rounds_by_shard(engine_.NumShards(), -1);
-    engine_.RunShards([&](int shard) {
-      SimScratch& scratch = LocalScratch();
-      const int lo = std::max(engine_.ShardBegin(shard), s_begin);
-      const int hi = std::min(engine_.ShardBegin(shard + 1), s_end);
-      int rounds = -1;
-      for (int s = lo; s < hi; ++s) {
-        if (!engine_.cancel_->Check().ok()) break;
-        const SampleCheckpoint* start =
-            from == 0 ? nullptr
-                      : &aligned_cp_[static_cast<size_t>(from - 1)]
-                                    [static_cast<size_t>(s)];
-        engine_.sim_.Restore(start, nullptr, scratch);
-        rounds = 0;
-        for (int k = from + 1; k <= upto; ++k) {
-          rounds += engine_.sim_.SimulateRounds(
-              base_sched_, static_cast<uint64_t>(s), k, k, mask, scratch,
-              kRaceAlignFromRound);
-          engine_.sim_.Capture(scratch, aligned_cp_[static_cast<size_t>(k - 1)]
-                                                   [static_cast<size_t>(s)]);
-        }
-      }
-      rounds_by_shard[shard] = rounds;
-    });
-    if (engine_.Cancelled()) return;
-    int rounds_built = 0;
-    for (int rounds : rounds_by_shard) {
-      if (rounds >= 0) {
-        rounds_built = rounds;
-        break;
-      }
-    }
-    engine_.num_rounds_simulated_ +=
-        static_cast<int64_t>(s_end - s_begin) * rounds_built;
-    engine_.num_rounds_skipped_ -=
-        static_cast<int64_t>(s_end - s_begin) * rounds_built;
-  };
-  build(0, aligned_samples_ready_, aligned_rounds_ready_, rounds_upto);
-  build(aligned_samples_ready_, samples_upto, 0, rounds_upto);
-  // A cancelled build leaves the watermarks untouched (half-frozen strips
-  // must never be resumed from); the race's own cancel checks stop the
-  // run before any restore could read them.
-  if (engine_.Cancelled()) return;
-  aligned_rounds_ready_ = rounds_upto;
-  aligned_samples_ready_ = samples_upto;
-}
-
-CheckpointedEval::Outcome CheckpointedEval::Eval(const SeedGroup& group,
-                                                 bool want_pi) {
-  // Checkpoints (and the prefix-reuse argument) assume the problem's
-  // initial state; a SetInitialStates slipped in after construction must
-  // fail loudly rather than silently evaluate from the wrong state.
+MonteCarloEngine::SampleRun CheckpointedEval::Resume(
+    const SeedSchedule& sched) {
+  // The prefix-reuse argument assumes the problem's initial state; a
+  // SetInitialStates slipped in after construction must fail loudly
+  // rather than silently evaluate from the wrong state.
   IMDPP_CHECK(engine_.initial_states_ == nullptr);
-  const Problem& p = engine_.sim_.problem();
-  const int t_max = p.num_promotions;
-  const SeedSchedule sched(group, p);
-  const int diverge = FirstDivergence(base_sched_, sched, t_max);
-  // Stand on the last shared boundary (bounded by what the base can ever
-  // provide: rounds past its last active round are no-ops).
-  int resume = std::min(diverge - 1, base_sched_.last_active_round());
-  EnsureCheckpoints(resume);
-  resume = std::min(resume, rounds_ready_);
-  const int t_end = sched.last_active_round();
-  const std::vector<uint8_t>* mask = mask_.empty() ? nullptr : &mask_;
-
-  struct Part {
-    double sigma = 0.0;
-    double sigma_market = 0.0;
-    double pi = 0.0;
-  };
-  std::vector<Part> partial(engine_.NumShards());
-  int rounds_run = 0;
-  engine_.RunShards([&](int shard) {
-    SimScratch& scratch = LocalScratch();
-    Part acc;
-    int rounds = 0;
-    const int end = engine_.ShardBegin(shard + 1);
-    for (int s = engine_.ShardBegin(shard); s < end; ++s) {
-      if (!engine_.cancel_->Check().ok()) break;
-      const SampleCheckpoint* start =
-          resume == 0
-              ? nullptr
-              : &cp_[static_cast<size_t>(resume - 1)][static_cast<size_t>(s)];
-      engine_.sim_.Restore(start, nullptr, scratch);
-      rounds = 0;
-      if (t_end > resume) {
-        rounds = engine_.sim_.SimulateRounds(sched, static_cast<uint64_t>(s),
-                                             resume + 1, t_end, mask, scratch);
-      }
-      acc.sigma += scratch.sigma();
-      acc.sigma_market += scratch.sigma_market();
-      if (want_pi) acc.pi += engine_.sim_.LikelihoodPi(scratch.states(), market_);
-    }
-    partial[shard] = acc;
-    if (shard == 0) rounds_run = rounds;
-  });
-  if (engine_.Cancelled()) return Outcome{};
-  Outcome out;
-  for (const Part& acc : partial) {  // fixed shard order
-    out.sigma += acc.sigma;
-    out.sigma_market += acc.sigma_market;
-    out.pi += acc.pi;
-  }
-  engine_.ChargeEstimate(rounds_run);
-  out.sigma /= engine_.num_samples_;
-  out.sigma_market /= engine_.num_samples_;
-  out.pi /= engine_.num_samples_;
-  return out;
+  const int shared = SharedPrefix(sched);
+  engine_.Extend(cp_, shared, engine_.num_samples_);
+  return {.sched = &sched, .resume = std::min(shared, cp_.rounds_ready),
+          .t_end = sched.last_active_round(), .mask = cp_.mask,
+          .lattice = &cp_};
 }
 
 double CheckpointedEval::Sigma(const SeedGroup& group) {
   util::trace::Span span("mc.sigma");
   util::MutexLock lock(engine_.mu_);
-  if (!engine_.BeginEstimate()) return 0.0;
-  double memoized = 0.0;
-  if (engine_.MemoLookup(group, &memoized)) {
-    engine_.RecordSigmaEstimate(memoized);
-    return memoized;
-  }
-  const double sigma = Eval(group, /*want_pi=*/false).sigma;
-  if (engine_.Cancelled()) return sigma;  // partial: keep it out of the memo
-  engine_.MemoStore(group, sigma);
-  engine_.RecordSigmaEstimate(sigma);
-  return sigma;
+  MarketEval eval;
+  if (engine_.Answered(group, nullptr, &eval)) return eval.sigma;
+  const SeedSchedule sched(group, engine_.sim_.problem());
+  return engine_
+      .Remember(group, nullptr, engine_.EstimateMarket(Resume(sched), nullptr))
+      .sigma;
 }
 
-MonteCarloEngine::MarketEval CheckpointedEval::EvalMarket(
-    const SeedGroup& group) {
+MarketEval CheckpointedEval::EvalMarket(const SeedGroup& group) {
   IMDPP_CHECK(!market_.empty());
   util::trace::Span span("mc.eval_market");
   util::MutexLock lock(engine_.mu_);
-  if (!engine_.BeginEstimate()) return MonteCarloEngine::MarketEval{};
-  MonteCarloEngine::MarketEval memoized;
-  if (engine_.MarketMemoLookup(group, market_, &memoized)) {
-    engine_.RecordSigmaEstimate(memoized.sigma);
-    return memoized;
-  }
-  const Outcome o = Eval(group, /*want_pi=*/true);
-  const MonteCarloEngine::MarketEval out{o.sigma, o.sigma_market, o.pi};
-  if (engine_.Cancelled()) return out;  // partial: keep it out of the memo
-  engine_.MarketMemoStore(group, market_, out);
-  engine_.RecordSigmaEstimate(out.sigma);
-  return out;
+  MarketEval eval;
+  if (engine_.Answered(group, &market_, &eval)) return eval;
+  const SeedSchedule sched(group, engine_.sim_.problem());
+  return engine_.Remember(group, &market_,
+                          engine_.EstimateMarket(Resume(sched), &market_));
 }
 
 ExpectedState CheckpointedEval::Expected(const SeedGroup& group) {
   util::MutexLock lock(engine_.mu_);
-  IMDPP_CHECK(engine_.initial_states_ == nullptr);
   const Problem& p = engine_.sim_.problem();
   if (!engine_.BeginEstimate()) {
     return ExpectedState(p.NumUsers(), p.NumItems(), p.NumMetas());
   }
   const SeedSchedule sched(group, p);
-  const int diverge = FirstDivergence(base_sched_, sched, p.num_promotions);
-  int resume = std::min(diverge - 1, base_sched_.last_active_round());
-  EnsureCheckpoints(resume);
-  resume = std::min(resume, rounds_ready_);
-  return engine_.ExpectedFrom(
-      sched, resume + 1,
-      resume == 0 ? nullptr : &cp_[static_cast<size_t>(resume - 1)]);
+  return engine_.ExpectedFrom(Resume(sched));
 }
 
 SelectBestResult CheckpointedEval::SelectBest(
@@ -762,116 +621,29 @@ SelectBestResult CheckpointedEval::SelectBest(
   if (!options.adaptive.enabled || candidates.size() < 2) {
     return ScheduleEval::SelectBest(candidates, options);
   }
-  const bool want_market = options.use_market;
-  if (want_market) IMDPP_CHECK(!market_.empty());
-  util::trace::Span span("mc.select_best");
-  int winner = -1;
-  int64_t raced_samples = 0;
-  {
-    util::MutexLock lock(engine_.mu_);
-    IMDPP_CHECK(engine_.initial_states_ == nullptr);
-    if (!engine_.BeginEstimate()) return SelectBestResult{};
-    const Problem& p = engine_.sim_.problem();
-    const int t_max = p.num_promotions;
-    // Per-candidate schedule and resume boundary against the shared base.
-    struct Racer {
-      SeedSchedule sched;
-      int resume = 0;
-      int t_end = 0;
-    };
-    std::vector<Racer> racers;
-    racers.reserve(candidates.size());
-    for (const SelectCandidate& c : candidates) {
-      Racer racer{SeedSchedule(c.group, p)};
-      const int diverge = FirstDivergence(base_sched_, racer.sched, t_max);
-      racer.resume =
-          std::min(diverge - 1, base_sched_.last_active_round());
-      racer.t_end = racer.sched.last_active_round();
-      racers.push_back(std::move(racer));
-    }
-    // Races draw aligned coins from round 1 (kRaceAlignFromRound), so a
-    // racer can never resume from cp_: those prefixes froze round-keyed
-    // coins. It CAN resume from the aligned lattice — the base prefix
-    // simulated once per sample with the same attempt-ordinal keying the
-    // race uses, checkpoints carrying the ordinal state — which makes a
-    // resumed racer bit-identical to the engine-level race's from-scratch
-    // aligned run of the same schedule. The lattice grows lazily with the
-    // race's blocks (an early stop never paid for unraced samples), and
-    // Rebase keeps shared rounds, so consecutive races against
-    // overlapping bases (greedy placement, refinement sweeps) amortize it.
-    int max_resume = 0;
-    for (const Racer& racer : racers) {
-      max_resume = std::max(max_resume, racer.resume);
-    }
-    const std::vector<uint8_t>* mask = mask_.empty() ? nullptr : &mask_;
-    auto eval_block = [&](int cand, int begin, int end,
-                          AdaptiveEval& race) -> int {
-      EnsureAlignedCheckpoints(max_resume, end);
-      if (engine_.Cancelled()) return -1;
-      const Racer& racer = racers[static_cast<size_t>(cand)];
-      const auto& score = candidates[static_cast<size_t>(cand)].score;
-      std::vector<int> rounds_by_shard(engine_.NumShards(), -1);
-      engine_.RunShards([&](int shard) {
-        SimScratch& scratch = LocalScratch();
-        const int lo = std::max(engine_.ShardBegin(shard), begin);
-        const int hi = std::min(engine_.ShardBegin(shard + 1), end);
-        int rounds = -1;
-        for (int s = lo; s < hi; ++s) {
-          if (!engine_.cancel_->Check().ok()) break;
-          const SampleCheckpoint* start =
-              racer.resume == 0
-                  ? nullptr
-                  : &aligned_cp_[static_cast<size_t>(racer.resume - 1)]
-                                [static_cast<size_t>(s)];
-          engine_.sim_.Restore(start, nullptr, scratch);
-          rounds = 0;
-          if (racer.t_end > racer.resume) {
-            rounds = engine_.sim_.SimulateRounds(
-                racer.sched, static_cast<uint64_t>(s), racer.resume + 1,
-                racer.t_end, mask, scratch, kRaceAlignFromRound);
-          }
-          MarketEval eval;
-          eval.sigma = scratch.sigma();
-          eval.sigma_market = scratch.sigma_market();
-          if (want_market) {
-            eval.pi = engine_.sim_.LikelihoodPi(scratch.states(), market_);
-          }
-          race.Record(cand, s, score ? score(eval) : eval.sigma);
-        }
-        rounds_by_shard[shard] = rounds;
-      });
-      if (engine_.Cancelled()) return -1;
-      for (int rounds : rounds_by_shard) {
-        if (rounds >= 0) return rounds;
-      }
-      return 0;
-    };
-    const MonteCarloEngine::RaceOutcome raced = engine_.RaceSelect(
-        static_cast<int>(candidates.size()), options.adaptive, eval_block);
-    winner = raced.winner;
-    raced_samples = raced.samples;
+  if (options.use_market) IMDPP_CHECK(!market_.empty());
+  // Races draw aligned coins from round 1 (kRaceAlignFromRound), so a
+  // racer can never resume from cp_: those prefixes froze round-keyed
+  // coins. It CAN resume from the aligned lattice — the base prefix
+  // simulated once per sample with the same attempt-ordinal keying the
+  // race uses, checkpoints carrying the ordinal state — which makes a
+  // resumed racer bit-identical to the engine-level race's from-scratch
+  // aligned run of the same schedule. Rebase keeps shared rounds, so
+  // consecutive races against overlapping bases (greedy placement,
+  // refinement sweeps) amortize it.
+  std::vector<MonteCarloEngine::Racer> racers;
+  racers.reserve(candidates.size());
+  for (const SelectCandidate& c : candidates) {
+    SeedSchedule sched(c.group, engine_.sim_.problem());
+    const int resume = SharedPrefix(sched);
+    racers.push_back({std::move(sched), resume});
   }
-  if (winner < 0) return SelectBestResult{};
-  // Winner re-evaluation at the full sample count through the normal
-  // checkpointed path (memo-aware, histogram-recorded).
-  MarketEval eval;
-  if (want_market) {
-    eval = EvalMarket(candidates[static_cast<size_t>(winner)].group);
-  } else {
-    eval.sigma = Sigma(candidates[static_cast<size_t>(winner)].group);
-  }
-  if (engine_.Cancelled()) return SelectBestResult{};
-  const double score = candidates[static_cast<size_t>(winner)].score
-                           ? candidates[static_cast<size_t>(winner)].score(eval)
-                           : eval.sigma;
-  SelectBestResult result;
-  result.samples_used = raced_samples + engine_.num_samples_;
-  if (score > options.min_score) {
-    result.best_index = winner;
-    result.best_score = score;
-    result.best_eval = eval;
-  }
-  return result;
+  // The winner is re-evaluated through the normal checkpointed path.
+  return engine_.Race(candidates, options, racers, &aligned_cp_,
+                      options.use_market ? &market_ : nullptr,
+                      [&](const SeedGroup& group) {
+                        return Evaluate(group, options.use_market);
+                      });
 }
 
 // --------------------------------------------------------------------------

@@ -8,6 +8,15 @@
 // paired: Sigma(S ∪ {s}) - Sigma(S) is a low-variance paired estimate of
 // the marginal gain.
 //
+// One sample loop: every estimate, race block and checkpoint build runs
+// through one kernel (MonteCarloEngine::RunSamples) that restores each
+// sample, simulates promotions resume+1..t_end and calls back. A
+// from-scratch estimate is a resume from round 0; a checkpointed one
+// resumes from a row of a checkpoint lattice. One lattice type serves
+// both coin keyings — CheckpointedEval keeps a round-keyed one for its
+// estimates and a race-aligned one for adaptive races — grown by one
+// builder (Extend) and truncated on Rebase.
+//
 // Parallelism: the per-sample loop is embarrassingly parallel (every
 // realization is a pure function of its sample index), so estimates are
 // sharded across a util::ThreadPool — either an engine-owned lazy pool or
@@ -21,11 +30,10 @@
 // Evaluation fast path (ISSUE 3): every estimate runs on per-worker
 // SimScratch arenas (zero per-sample allocation), skips unseeded
 // promotion rounds (exact no-ops), and exposes two reuse levers:
-//   * CheckpointedEval — freezes per-sample states at promotion
-//     boundaries for a base seed group, so evaluating a group that only
-//     differs from the base at rounds ≥ t resumes from the round-(t-1)
-//     checkpoint instead of re-simulating rounds 1..t-1. Exact, because
-//     coin flips are index-hashed and never depend on history.
+//   * CheckpointedEval — evaluating a group that only differs from its
+//     base at rounds ≥ t resumes from the base's round-(t-1) lattice row
+//     instead of re-simulating rounds 1..t-1. Exact, because coin flips
+//     are index-hashed and never depend on history.
 //   * an opt-in σ memo keyed on the exact seed vector, so sweeps that
 //     revisit an identical configuration (e.g. Dysim's coordinate-ascent
 //     timing refinement) pay nothing.
@@ -35,6 +43,7 @@
 #ifndef IMDPP_DIFFUSION_MONTE_CARLO_H_
 #define IMDPP_DIFFUSION_MONTE_CARLO_H_
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
@@ -83,9 +92,6 @@ class MonteCarloEngine : public SigmaBackend {
     caps.select_best = true;
     return caps;
   }
-
-  /// Kept as a nested alias through the ISSUE 7 hoist to diffusion scope.
-  using MarketEval = ::imdpp::diffusion::MarketEval;
 
   /// σ̂(S): mean importance-weighted adoptions.
   /// Like every estimate entry point, takes the engine mutex for the whole
@@ -138,12 +144,12 @@ class MonteCarloEngine : public SigmaBackend {
   /// Opts in to memoizing estimates by exact input (identical input =>
   /// identical estimate, so a hit returns the previously computed bits
   /// without simulating): Sigma() by seed vector, EvalMarket() by
-  /// (seed vector, market user list). Off by default to keep the
-  /// simulation-counter semantics of plain engines.
-  void EnableSigmaMemo(size_t max_entries = 1 << 14) override
-      IMDPP_EXCLUDES(mu_) {
+  /// (seed vector, market user list), each up to kMemoCapacity entries.
+  /// Off by default to keep the simulation-counter semantics of plain
+  /// engines.
+  void EnableSigmaMemo() override IMDPP_EXCLUDES(mu_) {
     util::MutexLock lock(mu_);
-    sigma_memo_capacity_ = max_entries;
+    memo_enabled_ = true;
   }
 
   const CampaignSimulator& simulator() const override { return sim_; }
@@ -232,29 +238,20 @@ class MonteCarloEngine : public SigmaBackend {
       IMDPP_REQUIRES(mu_);
 
   bool MemoEnabled() const IMDPP_REQUIRES(mu_) {
-    return sigma_memo_capacity_ > 0 && initial_states_ == nullptr;
+    return memo_enabled_ && initial_states_ == nullptr;
   }
-  /// Memo lookup; on hit books the skipped work and returns true.
-  bool MemoLookup(const SeedGroup& seeds, double* sigma) const
-      IMDPP_REQUIRES(mu_);
-  void MemoStore(const SeedGroup& seeds, double sigma) const
-      IMDPP_REQUIRES(mu_);
-  /// Same, for EvalMarket keyed on (seed vector, market user list).
-  bool MarketMemoLookup(const SeedGroup& seeds,
-                        const std::vector<UserId>& users,
-                        MarketEval* eval) const IMDPP_REQUIRES(mu_);
-  void MarketMemoStore(const SeedGroup& seeds,
-                       const std::vector<UserId>& users,
-                       const MarketEval& eval) const IMDPP_REQUIRES(mu_);
-  /// Shared core of Expected() and CheckpointedEval::Expected(): runs
-  /// promotions [t_begin, t_end(sched)] per sample on top of `start`
-  /// (per-sample checkpoints; nullptr = the initial state) and averages
-  /// the final states. The accumulation shape (per-shard raw float sums
-  /// folded in shard order, scaled once) is identical on both paths, so
-  /// resuming from checkpoints is bit-identical to a from-scratch run.
-  ExpectedState ExpectedFrom(const SeedSchedule& sched, int t_begin,
-                             const std::vector<SampleCheckpoint>* start) const
-      IMDPP_REQUIRES(mu_);
+  /// Prologue of every Sigma/EvalMarket entry: the BeginEstimate gate,
+  /// then the σ memo (`market` null) or the (seeds, market) memo. True =
+  /// answered: `*eval` holds the memoized value (recorded, its skipped
+  /// work booked) or, when the gate fired, a don't-care zero.
+  bool Answered(const SeedGroup& seeds, const std::vector<UserId>* market,
+                MarketEval* eval) const IMDPP_REQUIRES(mu_);
+  /// The epilogue for a computed `eval`: memo store and σ̂ histogram,
+  /// skipped when the token fired (a partial estimate must never poison
+  /// the memo).
+  MarketEval Remember(const SeedGroup& seeds,
+                      const std::vector<UserId>* market,
+                      const MarketEval& eval) const IMDPP_REQUIRES(mu_);
   /// |V| market mask for `users`, cached per user list. The returned
   /// pointer is read by the sample loop of the estimate that built it —
   /// which still holds mu_, so no other estimate can rebuild it mid-use.
@@ -264,22 +261,85 @@ class MonteCarloEngine : public SigmaBackend {
   /// `rounds_run` rounds per sample.
   void ChargeEstimate(int rounds_run) const IMDPP_REQUIRES(mu_);
 
-  /// The racing driver shared by the engine-level and checkpointed
-  /// SelectBest: advances every alive candidate block by block through
-  /// `eval_block(candidate, begin, end, race)` (which fills per-sample
-  /// slots and returns the rounds executed per sample, or −1 when the
-  /// cancel token fired), charges each candidate-block, and on
-  /// completion books the whole-sample skips plus the adaptive
-  /// counters. winner −1 = cancelled mid-race (nothing terminal booked;
-  /// partial blocks stay charged, mirroring interrupted estimates).
-  struct RaceOutcome {
-    int winner = -1;
-    int64_t samples = 0;  ///< realizations actually simulated
+  /// Per-sample states frozen at the promotion boundaries of one base
+  /// schedule under one market mask and coin keying: rows[k-1][s] =
+  /// sample s after base rounds 1..k, valid for k <= rounds_ready and
+  /// s < samples_ready (rows are allocated full-width).
+  struct Lattice {
+    const SeedSchedule* base = nullptr;
+    const std::vector<uint8_t>* mask = nullptr;  ///< null = no market
+    int align_from = kNoCoinAlignment;
+    std::vector<std::vector<SampleCheckpoint>> rows{};
+    int rounds_ready = 0;
+    int samples_ready = 0;
+
+    /// Rebase: keeps the rows of rounds 1..`rounds` only.
+    void Truncate(int rounds) {
+      rounds_ready = std::min(rounds_ready, rounds);
+      rows.resize(static_cast<size_t>(rounds_ready));
+    }
   };
-  RaceOutcome RaceSelect(
-      int num_candidates, const AdaptiveEvalConfig& config,
-      const std::function<int(int, int, int, AdaptiveEval&)>& eval_block)
-      const IMDPP_REQUIRES(mu_);
+
+  /// What the kernel simulates for each sample s of a range.
+  struct SampleRun {
+    const SeedSchedule* sched = nullptr;
+    /// Rounds 1..resume come from lattice->rows[resume-1][s]; 0 = start
+    /// from the initial state (initial_states_ when set).
+    int resume = 0;
+    int t_end = 0;  ///< last round simulated
+    const std::vector<uint8_t>* mask = nullptr;
+    int align_from = kNoCoinAlignment;
+    Lattice* lattice = nullptr;
+    /// Simulate round by round, freezing every boundary resume+1..t_end
+    /// into lattice->rows (the lattice builder's mode).
+    bool capture = false;
+  };
+
+  /// The kernel: runs samples [s_begin, s_end) of `run` on the sharded
+  /// sample loop, calling per_sample(shard, s, scratch) after each.
+  /// Returns the rounds each sample executed (a schedule property), or −1
+  /// once the cancel token fired (the callbacks' slots are then partial).
+  /// Books no work.
+  template <typename PerSample>
+  int RunSamples(const SampleRun& run, int s_begin, int s_end,
+                 PerSample&& per_sample) const IMDPP_REQUIRES(mu_);
+
+  /// One full-count σ / σ_τ / π estimate of `run` (π only when
+  /// `pi_market` is set): per-shard slots folded in shard order, divided
+  /// once, charged as one estimate. Zeros when cancelled.
+  MarketEval EstimateMarket(const SampleRun& run,
+                            const std::vector<UserId>* pi_market) const
+      IMDPP_REQUIRES(mu_);
+  /// Expected final state of `run`: per-shard raw float sums folded in
+  /// shard order and scaled once, so resuming from a lattice is
+  /// bit-identical to a from-scratch run.
+  ExpectedState ExpectedFrom(const SampleRun& run) const IMDPP_REQUIRES(mu_);
+
+  /// The lattice builder: grows the valid rectangle to at least
+  /// `rounds_upto` (capped at the base's last active round) x
+  /// `samples_upto`. A cancelled build leaves the watermarks untouched, so
+  /// half-frozen rows are never resumed from.
+  void Extend(Lattice& lattice, int rounds_upto, int samples_upto) const
+      IMDPP_REQUIRES(mu_);
+
+  /// One candidate in a race: its schedule and the round it resumes after
+  /// (from the race's lattice; 0 = from the initial state).
+  struct Racer {
+    SeedSchedule sched;
+    int resume = 0;
+  };
+  /// The adaptive argmax behind both SelectBest overrides: races `racers`
+  /// (one per candidate) block by block on time-aligned coins, resuming
+  /// from `lattice` (optional; grown per block, its mask applies to every
+  /// racer), then scores the winner on `reevaluate` — the caller's normal
+  /// full-count, memo-aware estimate — so downstream arithmetic sees the
+  /// bits a direct call would. Empty result when the token fired.
+  SelectBestResult Race(
+      const std::vector<SelectCandidate>& candidates,
+      const SelectOptions& options, const std::vector<Racer>& racers,
+      Lattice* lattice, const std::vector<UserId>* pi_market,
+      const std::function<MarketEval(const SeedGroup&)>& reevaluate) const
+      IMDPP_EXCLUDES(mu_);
 
   CampaignSimulator sim_;
   int num_samples_;
@@ -307,7 +367,7 @@ class MonteCarloEngine : public SigmaBackend {
   mutable int64_t blocks_run_ IMDPP_GUARDED_BY(mu_) = 0;
   mutable int64_t early_stops_ IMDPP_GUARDED_BY(mu_) = 0;
   mutable int64_t samples_saved_ IMDPP_GUARDED_BY(mu_) = 0;
-  /// σ memo keyed on the exact seed vector (0 capacity = disabled), and
+  /// σ memo keyed on the exact seed vector (see EnableSigmaMemo), and
   /// the EvalMarket memo keyed on (market users, seed vector) behind the
   /// same opt-in flag. Nested maps so each market's user list is stored
   /// once and lookups compare in place — no per-call key construction on
@@ -316,7 +376,7 @@ class MonteCarloEngine : public SigmaBackend {
   mutable std::map<std::vector<UserId>, std::map<SeedGroup, MarketEval>>
       market_memo_ IMDPP_GUARDED_BY(mu_);
   mutable size_t market_memo_entries_ IMDPP_GUARDED_BY(mu_) = 0;
-  size_t sigma_memo_capacity_ IMDPP_GUARDED_BY(mu_) = 0;
+  bool memo_enabled_ IMDPP_GUARDED_BY(mu_) = false;
   /// EvalMarket mask cache.
   mutable std::vector<UserId> mask_users_ IMDPP_GUARDED_BY(mu_);
   mutable std::vector<uint8_t> mask_ IMDPP_GUARDED_BY(mu_);
@@ -352,6 +412,9 @@ class CheckpointedEval final : public ScheduleEval {
   /// serves exactly one market.
   CheckpointedEval(const MonteCarloEngine& engine, SeedGroup base,
                    std::vector<UserId> market = {});
+  /// The lattices point into this object (base schedule, mask).
+  CheckpointedEval(const CheckpointedEval&) = delete;
+  CheckpointedEval& operator=(const CheckpointedEval&) = delete;
 
   /// σ̂(group). `group` may differ from the base at any rounds; earlier
   /// shared rounds are resumed from checkpoints. Consults the engine's σ
@@ -377,6 +440,7 @@ class CheckpointedEval final : public ScheduleEval {
   void Rebase(SeedGroup base) override;
 
   const SeedGroup& base() const override { return base_; }
+  int num_samples() const override { return engine_.num_samples(); }
 
   /// Greedy argmax over `candidates` against the shared base (ISSUE 10).
   /// Fixed mode runs the base-class reference loop (through this
@@ -391,27 +455,16 @@ class CheckpointedEval final : public ScheduleEval {
       IMDPP_EXCLUDES(engine_.mu_);
 
  private:
-  struct Outcome {
-    double sigma = 0.0;
-    double sigma_market = 0.0;
-    double pi = 0.0;
-  };
   /// First round where the two schedules' buckets differ (T+1 if none).
   static int FirstDivergence(const SeedSchedule& a, const SeedSchedule& b,
                              int t_max);
-  /// Simulates base rounds up to `upto` (capped at the base's last active
-  /// round), freezing every boundary along the way.
-  void EnsureCheckpoints(int upto) IMDPP_REQUIRES(engine_.mu_);
-  /// Same, for the aligned lattice: base rounds simulated with
-  /// time-aligned (attempt-ordinal) coins, checkpoints carrying the
-  /// attempt state. Races resume from these — never from cp_, whose
-  /// round-keyed prefix coins would poison the paired differences.
-  /// Grown lazily as a rectangle of `rounds_upto` x `samples_upto`
-  /// (races touch block_end samples, not all of them), so a race that
-  /// stops after one block never pays for prefixes it didn't use.
-  void EnsureAlignedCheckpoints(int rounds_upto, int samples_upto)
-      IMDPP_REQUIRES(engine_.mu_);
-  Outcome Eval(const SeedGroup& group, bool want_pi)
+  /// The last boundary `sched` shares with the base (bounded by what the
+  /// base can ever provide: rounds past its last active round are
+  /// no-ops).
+  int SharedPrefix(const SeedSchedule& sched) const;
+  /// `sched` resumed from the round-keyed lattice at its shared prefix,
+  /// extending the lattice to that boundary first.
+  MonteCarloEngine::SampleRun Resume(const SeedSchedule& sched)
       IMDPP_REQUIRES(engine_.mu_);
 
   const MonteCarloEngine& engine_;
@@ -419,15 +472,11 @@ class CheckpointedEval final : public ScheduleEval {
   SeedSchedule base_sched_;
   std::vector<UserId> market_;
   std::vector<uint8_t> mask_;  ///< prebuilt; empty when market_ is empty
-  /// cp_[k-1][s] = realization s frozen after base rounds 1..k.
-  std::vector<std::vector<SampleCheckpoint>> cp_;
-  int rounds_ready_ = 0;
-  /// Aligned-coin twin of cp_, built lazily by adaptive races only;
-  /// valid for rounds < aligned_rounds_ready_, samples <
-  /// aligned_samples_ready_ (rows are allocated full-width up front).
-  std::vector<std::vector<SampleCheckpoint>> aligned_cp_;
-  int aligned_rounds_ready_ = 0;
-  int aligned_samples_ready_ = 0;
+  /// Round-keyed boundaries, grown to all samples by estimates.
+  MonteCarloEngine::Lattice cp_;
+  /// Aligned-coin twin of cp_, grown lazily by adaptive races only (races
+  /// touch block_end samples, not all of them).
+  MonteCarloEngine::Lattice aligned_cp_;
 };
 
 }  // namespace imdpp::diffusion

@@ -128,7 +128,7 @@ double RisBackend::Sigma(const SeedGroup& seeds) const {
             sketches_->scale_per_sketch() *
             static_cast<double>(CountCovered(seeds, nullptr, nullptr));
         ChargeEstimate();
-        if (MemoEnabled() && sigma_memo_.size() < sigma_memo_capacity_) {
+        if (MemoEnabled() && sigma_memo_.size() < kMemoCapacity) {
           sigma_memo_.emplace(seeds, sigma);
         }
         RecordSigmaEstimate(sigma);
@@ -173,7 +173,7 @@ MarketEval RisBackend::EvalMarket(const SeedGroup& seeds,
                            static_cast<double>(covered_market);
         out.pi = 0.0;  // no likelihood model on sketches (see header)
         ChargeEstimate();
-        if (MemoEnabled() && market_memo_entries_ < sigma_memo_capacity_) {
+        if (MemoEnabled() && market_memo_entries_ < kMemoCapacity) {
           if (market_memo_[users].emplace(seeds, out).second) {
             ++market_memo_entries_;
           }

@@ -90,10 +90,9 @@ class RisBackend final : public SigmaBackend {
   /// weightings that coverage counts cannot provide.
   ExpectedState Expected(const SeedGroup& seeds) const override;
 
-  void EnableSigmaMemo(size_t max_entries = 1 << 14) override
-      IMDPP_EXCLUDES(mu_) {
+  void EnableSigmaMemo() override IMDPP_EXCLUDES(mu_) {
     util::MutexLock lock(mu_);
-    sigma_memo_capacity_ = max_entries;
+    memo_enabled_ = true;
   }
 
   const CampaignSimulator& simulator() const override {
@@ -175,7 +174,7 @@ class RisBackend final : public SigmaBackend {
   const std::vector<uint8_t>* CachedMask(const std::vector<UserId>& users)
       const IMDPP_REQUIRES(mu_);
   bool MemoEnabled() const IMDPP_REQUIRES(mu_) {
-    return sigma_memo_capacity_ > 0;
+    return memo_enabled_;
   }
   /// Books one coverage estimate (all rounds skipped) / one memo hit.
   void ChargeEstimate() const IMDPP_REQUIRES(mu_);
@@ -211,7 +210,7 @@ class RisBackend final : public SigmaBackend {
   mutable std::map<std::vector<UserId>, std::map<SeedGroup, MarketEval>>
       market_memo_ IMDPP_GUARDED_BY(mu_);
   mutable size_t market_memo_entries_ IMDPP_GUARDED_BY(mu_) = 0;
-  size_t sigma_memo_capacity_ IMDPP_GUARDED_BY(mu_) = 0;
+  bool memo_enabled_ IMDPP_GUARDED_BY(mu_) = false;
   mutable std::vector<UserId> mask_users_ IMDPP_GUARDED_BY(mu_);
   mutable std::vector<uint8_t> mask_ IMDPP_GUARDED_BY(mu_);
   mutable bool mask_valid_ IMDPP_GUARDED_BY(mu_) = false;

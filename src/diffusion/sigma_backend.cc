@@ -34,6 +34,7 @@ class ForwardingScheduleEval final : public ScheduleEval {
   }
   void Rebase(SeedGroup base) override { base_ = std::move(base); }
   const SeedGroup& base() const override { return base_; }
+  int num_samples() const override { return backend_.num_samples(); }
 
  private:
   const SigmaBackend& backend_;
@@ -49,6 +50,30 @@ util::Registry<SigmaBackendRegistry::Factory>& Impl() {
   return *registry;
 }
 
+/// The fixed-count reference argmax behind both base SelectBest entry
+/// points: evaluates every candidate in order through `evaluate` — the
+/// identical estimate sequence (memo traffic, fault-schedule hits, σ̂
+/// histogram entries and bits) as the hand-written argmax loops it
+/// replaced — keeping the strict-`>` running best above `min_score`.
+template <typename Evaluate>
+SelectBestResult ReferenceSelectBest(
+    const std::vector<SelectCandidate>& candidates, double min_score,
+    int num_samples, Evaluate&& evaluate) {
+  SelectBestResult result;
+  result.best_score = min_score;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const MarketEval eval = evaluate(candidates[i].group);
+    const double score = candidates[i].ScoreOf(eval);
+    if (score > result.best_score) {
+      result.best_score = score;
+      result.best_index = static_cast<int>(i);
+      result.best_eval = eval;
+    }
+  }
+  result.samples_used = static_cast<int64_t>(candidates.size()) * num_samples;
+  return result;
+}
+
 }  // namespace
 
 std::unique_ptr<ScheduleEval> SigmaBackend::MakeScheduleEval(
@@ -57,58 +82,33 @@ std::unique_ptr<ScheduleEval> SigmaBackend::MakeScheduleEval(
                                                   std::move(market));
 }
 
+MarketEval ScheduleEval::Evaluate(const SeedGroup& group, bool use_market) {
+  return use_market ? EvalMarket(group) : MarketEval{.sigma = Sigma(group)};
+}
+
 SelectBestResult ScheduleEval::SelectBest(
     const std::vector<SelectCandidate>& candidates,
     const SelectOptions& options) {
-  // The fixed-count reference loop: evaluate every candidate in order —
-  // the identical estimate sequence (memo traffic, fault-schedule hits,
-  // σ̂ histogram entries and bits) as the hand-written argmax loops this
-  // entry point replaced. Backends without a sequential-stopping
-  // override run this even when options.adaptive.enabled (correct, just
-  // never early-stopping — e.g. "ris", whose warm σ̂ is already ~free).
-  SelectBestResult result;
-  result.best_score = options.min_score;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    MarketEval eval;
-    if (options.use_market) {
-      eval = EvalMarket(candidates[i].group);
-    } else {
-      eval.sigma = Sigma(candidates[i].group);
-    }
-    const double score =
-        candidates[i].score ? candidates[i].score(eval) : eval.sigma;
-    if (score > result.best_score) {
-      result.best_score = score;
-      result.best_index = static_cast<int>(i);
-      result.best_eval = eval;
-    }
-  }
-  return result;
+  // Backends without a sequential-stopping override run the reference
+  // loop even when options.adaptive.enabled (correct, just never
+  // early-stopping — e.g. "ris", whose warm σ̂ is already ~free).
+  return ReferenceSelectBest(
+      candidates, options.min_score, num_samples(),
+      [&](const SeedGroup& group) {
+        return Evaluate(group, options.use_market);
+      });
 }
 
 SelectBestResult SigmaBackend::SelectBest(
     const std::vector<SelectCandidate>& candidates,
     const SelectOptions& options) const {
-  // Engine-level twin of ScheduleEval::SelectBest (same reference-loop
-  // semantics); σ-scored only — market-scored argmaxes go through a
-  // ScheduleEval bound to the market.
+  // σ-scored only — market-scored argmaxes go through a ScheduleEval
+  // bound to the market.
   IMDPP_CHECK(!options.use_market);
-  SelectBestResult result;
-  result.best_score = options.min_score;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    MarketEval eval;
-    eval.sigma = Sigma(candidates[i].group);
-    const double score =
-        candidates[i].score ? candidates[i].score(eval) : eval.sigma;
-    if (score > result.best_score) {
-      result.best_score = score;
-      result.best_index = static_cast<int>(i);
-      result.best_eval = eval;
-    }
-  }
-  result.samples_used =
-      static_cast<int64_t>(candidates.size()) * num_samples();
-  return result;
+  return ReferenceSelectBest(candidates, options.min_score, num_samples(),
+                             [&](const SeedGroup& group) {
+                               return MarketEval{.sigma = Sigma(group)};
+                             });
 }
 
 void SigmaBackend::RecordSigmaEstimate(double sigma) const {

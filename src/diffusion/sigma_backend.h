@@ -56,7 +56,6 @@ class RisSketchCache;
 namespace imdpp::diffusion {
 
 class MonteCarloEngine;
-class CheckpointedEval;
 
 /// Sample-averaged end-of-campaign state.
 class ExpectedState {
@@ -85,7 +84,6 @@ class ExpectedState {
 
  private:
   friend class MonteCarloEngine;
-  friend class CheckpointedEval;
   double AvgRel(const pin::PersonalItemNetwork& pin,
                 const std::vector<UserId>& users, ItemId x, ItemId y,
                 bool complementary) const;
@@ -137,6 +135,11 @@ struct SelectCandidate {
   /// path and with single-sample values during adaptive racing; capture
   /// any constants (the base eval, costs) by value.
   std::function<double(const MarketEval&)> score;
+
+  /// `score` applied to `eval`, or eval.sigma when it is null.
+  double ScoreOf(const MarketEval& eval) const {
+    return score ? score(eval) : eval.sigma;
+  }
 };
 
 /// How a SelectBest argmax runs.
@@ -191,6 +194,8 @@ class ScheduleEval {
   /// keep the checkpoints of every round before the first divergence).
   virtual void Rebase(SeedGroup base) = 0;
   virtual const SeedGroup& base() const = 0;
+  /// Realizations per estimate of the backend this evaluator charges.
+  virtual int num_samples() const = 0;
 
   /// Greedy argmax over `candidates` (ISSUE 10). The base implementation
   /// is the fixed-count reference loop: evaluates every candidate in
@@ -201,6 +206,11 @@ class ScheduleEval {
   virtual SelectBestResult SelectBest(
       const std::vector<SelectCandidate>& candidates,
       const SelectOptions& options);
+
+ protected:
+  /// One candidate's evaluation as SelectBest scores it: EvalMarket when
+  /// `use_market`, else Sigma (with σ_τ and π left 0).
+  MarketEval Evaluate(const SeedGroup& group, bool use_market);
 };
 
 /// Abstract σ-evaluation backend. See the file comment for the estimation
@@ -237,9 +247,11 @@ class SigmaBackend {
 
   /// Opts in to memoizing estimates by exact input (identical input =>
   /// identical estimate): Sigma() by seed vector, EvalMarket() by
-  /// (seed vector, market user list). Off by default to keep the
-  /// work-counter semantics of plain backends.
-  virtual void EnableSigmaMemo(size_t max_entries = 1 << 14) = 0;
+  /// (seed vector, market user list), each memo holding up to
+  /// kMemoCapacity entries. Off by default to keep the work-counter
+  /// semantics of plain backends.
+  virtual void EnableSigmaMemo() = 0;
+  static constexpr size_t kMemoCapacity = 1 << 14;
 
   /// An evaluator bound to `base` (and `market`, for EvalMarket). The
   /// base-class implementation forwards every call to this backend;

@@ -124,6 +124,24 @@ TEST(LintRules, FloatAccumFiresOnSharedCaptureOnly) {
   EXPECT_TRUE(HasAt(d, "core/float_accum.cc", 7));
 }
 
+TEST(LintRules, FloatAccumCoversMonteCarloPerSampleCallbacks) {
+  // The engine's per-sample callbacks run on pool workers too.
+  const std::string shared =
+      "void F() { double total = 0.0;\n"
+      "  RunSamples(run, 0, n, [&](int shard, int s, const Scratch& x) {\n"
+      "    total += x.sigma();\n"
+      "  });\n"
+      "}\n";
+  EXPECT_FALSE(LintSource("src/diffusion/x.cc", shared).empty());
+  const std::string per_slot =
+      "void F() {\n"
+      "  RunSamples(run, 0, n, [&](int shard, int s, const Scratch& x) {\n"
+      "    partial[shard] += x.sigma();\n"
+      "  });\n"
+      "}\n";
+  EXPECT_TRUE(LintSource("src/diffusion/x.cc", per_slot).empty());
+}
+
 TEST(LintRules, LockBeforeSharedFiresAcrossHeaderSourcePairs) {
   std::vector<Diagnostic> d = ForRule(LintFixtures(), "lock-before-shared");
   ASSERT_EQ(d.size(), 1u);

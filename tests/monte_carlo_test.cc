@@ -52,7 +52,7 @@ TEST(MonteCarloEngine, SimulationCounterAdvances) {
 TEST(MonteCarloEngine, EvalMarketSigmaConsistent) {
   TinyWorld w = MakeWorld(3, {{0, 1, 1.0}, {1, 2, 1.0}}, DetSpec());
   MonteCarloEngine engine(w.problem, {}, 8);
-  MonteCarloEngine::MarketEval ev = engine.EvalMarket({{0, 0, 1}}, {1, 2});
+  MarketEval ev = engine.EvalMarket({{0, 0, 1}}, {1, 2});
   EXPECT_DOUBLE_EQ(ev.sigma, 3.0);
   EXPECT_DOUBLE_EQ(ev.sigma_market, 2.0);
   EXPECT_GE(ev.pi, 0.0);
@@ -63,7 +63,7 @@ TEST(MonteCarloEngine, MarketSigmaNeverExceedsTotal) {
                               {3, 4, 0.6}},
                           DetSpec());
   MonteCarloEngine engine(w.problem, {}, 24);
-  MonteCarloEngine::MarketEval ev = engine.EvalMarket({{0, 0, 1}}, {2, 3});
+  MarketEval ev = engine.EvalMarket({{0, 0, 1}}, {2, 3});
   EXPECT_LE(ev.sigma_market, ev.sigma + 1e-12);
 }
 
@@ -74,7 +74,7 @@ TEST(MonteCarloEngine, PiPositiveWhenFrontierHasUnadoptedNeighbors) {
   s.base_pref = 0.5;
   TinyWorld w = MakeWorld(2, {{0, 1, 0.5}}, s);
   MonteCarloEngine engine(w.problem, {}, 64);
-  MonteCarloEngine::MarketEval ev = engine.EvalMarket({{0, 0, 1}}, {1});
+  MarketEval ev = engine.EvalMarket({{0, 0, 1}}, {1});
   EXPECT_GT(ev.pi, 0.0);
 }
 
@@ -159,10 +159,10 @@ TEST(MonteCarloEngine, EvalMarketBitIdenticalAcrossThreadCounts) {
   const SeedGroup seeds{{0, 0, 1}};
   const std::vector<UserId> market{1, 3, 5};
   MonteCarloEngine serial(w.problem, {}, 48, /*num_threads=*/0);
-  MonteCarloEngine::MarketEval base = serial.EvalMarket(seeds, market);
+  MarketEval base = serial.EvalMarket(seeds, market);
   for (int threads : {1, 2, 4, 8}) {
     MonteCarloEngine engine(w.problem, {}, 48, threads);
-    MonteCarloEngine::MarketEval ev = engine.EvalMarket(seeds, market);
+    MarketEval ev = engine.EvalMarket(seeds, market);
     EXPECT_EQ(ev.sigma, base.sigma) << "threads=" << threads;
     EXPECT_EQ(ev.sigma_market, base.sigma_market) << "threads=" << threads;
     EXPECT_EQ(ev.pi, base.pi) << "threads=" << threads;
@@ -343,8 +343,8 @@ TEST(CheckpointedEval, EvalMarketBitIdenticalAcrossThreadCounts) {
     for (int t = 2; t <= 4; ++t) {
       SeedGroup g = base;
       g.push_back({4, 0, t});
-      MonteCarloEngine::MarketEval a = ce.EvalMarket(g);
-      MonteCarloEngine::MarketEval b = fresh.EvalMarket(g, market);
+      MarketEval a = ce.EvalMarket(g);
+      MarketEval b = fresh.EvalMarket(g, market);
       EXPECT_EQ(a.sigma, b.sigma) << "threads=" << threads << " t=" << t;
       EXPECT_EQ(a.sigma_market, b.sigma_market)
           << "threads=" << threads << " t=" << t;
@@ -461,13 +461,13 @@ TEST(MonteCarloEngine, EvalMarketMemoizedPerGroupAndMarket) {
   const std::vector<UserId> market_a{0, 1, 2};
   const std::vector<UserId> market_b{3, 4, 5};
 
-  const MonteCarloEngine::MarketEval first = engine.EvalMarket(g, market_a);
+  const MarketEval first = engine.EvalMarket(g, market_a);
   const int64_t sims = engine.num_simulations();
   const int64_t skipped = engine.num_rounds_skipped();
 
   // Same (group, market): answered from the memo — identical bits, no
   // simulation, one memo hit, skipped-work booked.
-  const MonteCarloEngine::MarketEval hit = engine.EvalMarket(g, market_a);
+  const MarketEval hit = engine.EvalMarket(g, market_a);
   EXPECT_EQ(hit.sigma, first.sigma);
   EXPECT_EQ(hit.sigma_market, first.sigma_market);
   EXPECT_EQ(hit.pi, first.pi);
@@ -476,7 +476,7 @@ TEST(MonteCarloEngine, EvalMarketMemoizedPerGroupAndMarket) {
   EXPECT_GT(engine.num_rounds_skipped(), skipped);
 
   // Different market, same group: a genuine re-evaluation.
-  const MonteCarloEngine::MarketEval other = engine.EvalMarket(g, market_b);
+  const MarketEval other = engine.EvalMarket(g, market_b);
   EXPECT_GT(engine.num_simulations(), sims);
   EXPECT_NE(other.sigma_market, first.sigma_market);
 
@@ -487,7 +487,7 @@ TEST(MonteCarloEngine, EvalMarketMemoizedPerGroupAndMarket) {
 
   // The memoized bits equal a plain engine's recompute.
   MonteCarloEngine plain(w.problem, {}, 16, /*num_threads=*/0);
-  const MonteCarloEngine::MarketEval recompute =
+  const MarketEval recompute =
       plain.EvalMarket(g, market_a);
   EXPECT_EQ(recompute.sigma, first.sigma);
   EXPECT_EQ(recompute.sigma_market, first.sigma_market);
@@ -505,10 +505,10 @@ TEST(CheckpointedEval, EvalMarketConsultsTheSharedMemo) {
   const SeedGroup base{{0, 0, 1}};
   const SeedGroup g{{0, 0, 1}, {2, 1, 2}};
 
-  const MonteCarloEngine::MarketEval direct = engine.EvalMarket(g, market);
+  const MarketEval direct = engine.EvalMarket(g, market);
   const int64_t sims = engine.num_simulations();
   CheckpointedEval eval(engine, base, market);
-  const MonteCarloEngine::MarketEval via = eval.EvalMarket(g);
+  const MarketEval via = eval.EvalMarket(g);
   EXPECT_EQ(via.sigma, direct.sigma);
   EXPECT_EQ(via.sigma_market, direct.sigma_market);
   EXPECT_EQ(via.pi, direct.pi);

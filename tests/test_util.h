@@ -109,6 +109,53 @@ inline TinyWorld MakeWorld(
   return w;
 }
 
+/// 8 users, 6 items, four metas ordered [S, C, S, C], dynamics on. Most
+/// related pairs are substitutable; some are complementary only, some
+/// both; pairs (0,1), (2,3), (4,5) score 0.9 on both C metas, so their r^C
+/// saturates past 1.
+inline TinyWorld SubstituteHeavyToy() {
+  constexpr int kItems = 6;
+  std::vector<std::vector<float>> mats(4,
+                                       std::vector<float>(kItems * kItems));
+  for (int x = 0; x < kItems; ++x) {
+    for (int y = 0; y < kItems; ++y) {
+      if (x == y) continue;
+      float* s0 = &mats[0][x * kItems + y];
+      float* c1 = &mats[1][x * kItems + y];
+      float* s2 = &mats[2][x * kItems + y];
+      float* c3 = &mats[3][x * kItems + y];
+      if ((x + y) % 2 == 1) *s0 = 0.3f + 0.1f * static_cast<float>(x * y % 4);
+      if ((x / 2) == (y / 2)) *c1 = 0.9f;
+      if (y - x == 2 || x - y == 3) *s2 = 0.5f;
+      if ((x + 1) % kItems == y) *c3 = 0.9f;
+    }
+  }
+  std::vector<kg::MetaGraph> metas = {
+      {"S0", kg::RelationKind::kSubstitutable, {}},
+      {"C1", kg::RelationKind::kComplementary, {}},
+      {"S2", kg::RelationKind::kSubstitutable, {}},
+      {"C3", kg::RelationKind::kComplementary, {}},
+  };
+  TinyWorldSpec spec;
+  spec.num_items = kItems;
+  spec.num_promotions = 3;
+  spec.base_pref = 0.5;
+  spec.wmeta0 = 0.6;
+  spec.params = pin::PerceptionParams();
+  spec.params.assoc_scale = 0.9;
+  TinyWorld w = MakeWorld(
+      8,
+      {{0, 1, 0.7}, {1, 2, 0.6}, {2, 3, 0.8}, {3, 4, 0.5}, {4, 5, 0.9},
+       {5, 6, 0.6}, {6, 7, 0.7}, {7, 0, 0.8}, {0, 4, 0.5}, {2, 6, 0.6},
+       {5, 1, 0.7}, {3, 7, 0.4}, {1, 3, 0.6}, {6, 2, 0.5}},
+      spec,
+      std::make_unique<kg::RelevanceModel>(kg::RelevanceModel::FromMatrices(
+          kItems, std::move(metas), std::move(mats))));
+  // Distinct importances, so sigma also records which items were adopted.
+  w.problem.importance = {1.0, 1.5, 2.25, 0.75, 3.0, 1.25};
+  return w;
+}
+
 }  // namespace imdpp::testutil
 
 #endif  // IMDPP_TESTS_TEST_UTIL_H_

@@ -26,7 +26,8 @@
 //                            instrumented clock (ISSUE 9).
 //   no-float-accum-in-parallel  `x += ...` on a by-reference capture
 //                            inside a lambda handed to ParallelFor /
-//                            RunShards / RunBatch without a
+//                            RunShards / RunBatch / RunSamples (the
+//                            Monte-Carlo per-sample kernel) without a
 //                            `// imdpp-lint: fixed-order-merge` marker:
 //                            cross-task float accumulation reintroduces
 //                            scheduling order into the arithmetic.
