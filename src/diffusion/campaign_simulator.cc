@@ -175,6 +175,14 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
   const size_t num_metas = static_cast<size_t>(rel.NumMetas());
   const double assoc_scale = pin.params().assoc_scale;
   const uint64_t sseed = HashTuple(config_.base_seed, sample_idx);
+  // Coin hash prefixes (util::HashExtend): every coin of one kind shares
+  // its leading tuple fields, so each is hashed once at the level where it
+  // stops changing and only the suffix is mixed in per coin.
+  const uint64_t lt_prefix = HashTuple(sseed, kLtThreshold);
+  const uint64_t aligned_adopt_prefix =
+      HashTuple(sseed, kAdoptFlip, kAlignedCoinRound);
+  const uint64_t aligned_extra_prefix =
+      HashTuple(sseed, kExtraFlip, kAlignedCoinRound);
   std::vector<pin::UserState>& state = scratch.states_;
 
   auto count_adoption = [&](UserId u, ItemId x) {
@@ -223,8 +231,12 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
         pending.emplace_back(u, x);
       };
 
+      const uint64_t adopt_step = HashTuple(sseed, kAdoptFlip, t, step);
+      const uint64_t extra_step = HashTuple(sseed, kExtraFlip, t, step);
       for (const auto& [src, x] : frontier) {
         const kg::RelevanceModel::AssociationRow row = rel.AssocRow(x);
+        const uint64_t adopt_src = HashExtend(adopt_step, src);
+        const uint64_t extra_src = HashExtend(extra_step, src);
         for (const graph::Edge& e : g.OutEdges(src)) {
           const UserId u = e.to;
           const pin::UserState& su = state[static_cast<size_t>(u)];
@@ -239,12 +251,12 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
           if (config_.model == DiffusionModel::kIndependentCascade) {
             const double p = pact * ppref;
             if (p > 0.0) {
-              const double coin =
-                  aligned
-                      ? UnitHash(sseed, kAdoptFlip, kAlignedCoinRound,
-                                 scratch.NextAttempt(PairKey(u, x, num_items)),
-                                 src, u, x)
-                      : UnitHash(sseed, kAdoptFlip, t, step, src, u, x);
+              const double coin = HashToUnit(
+                  aligned ? HashExtend(aligned_adopt_prefix,
+                                       scratch.NextAttempt(
+                                           PairKey(u, x, num_items)),
+                                       src, u, x)
+                          : HashExtend(adopt_src, u, x));
               if (coin < p) adopt = true;
             }
           } else {
@@ -252,7 +264,7 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
             // per-(user,item) threshold drawn once per realization.
             double& acc = scratch.LtAcc(PairKey(u, x, num_items));
             acc += pact * ppref;
-            const double theta = UnitHash(sseed, kLtThreshold, u, x);
+            const double theta = HashToUnit(HashExtend(lt_prefix, u, x));
             if (acc >= theta) adopt = true;
           }
           if (adopt) try_queue(u, x);
@@ -260,26 +272,41 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
           // Item associations: being promoted x can trigger adoption of
           // relevant items y, independently of the adoption of x. Pext =
           // clip01(assoc_scale * pact * ppref * (r^C - r^S)), evaluated in
-          // AssociationModel::ExtraProb's left-to-right order over x's
-          // complementary pairs (the only pairs whose r^C - r^S can be > 0).
-          if (ppref <= 0.0 || assoc_scale <= 0.0) continue;
+          // the left-to-right order of the scalar oracle (ExtraProb in
+          // tests/test_util.h) over x's complementary pairs (the only pairs
+          // whose r^C - r^S can be > 0).
+          if (ppref <= 0.0 || assoc_scale <= 0.0 || row.items.empty()) {
+            continue;
+          }
           const double pull = assoc_scale * pact * ppref;
+          // Round-keyed coins draw first and are rejected against pe_ub,
+          // which bounds Pext of every pair in the row (see the file
+          // comment); the aligned path scores first, because its coin
+          // consumes an attempt ordinal.
+          const double pe_ub =
+              aligned ? 1.0
+                      : Clip01(pull * pin.RelNetRowBound(su.wmeta(), x));
+          const uint64_t extra_ux = HashExtend(extra_src, u, x);
           for (size_t i = 0; i < row.items.size(); ++i) {
             const ItemId y = row.items[i];
             if (su.Has(y)) continue;
+            double coin = 0.0;
+            if (!aligned) {
+              coin = HashToUnit(HashExtend(extra_ux, y));
+              if (coin >= pe_ub) continue;
+            }
             const double net = pin.RelNetRow(
                 su.wmeta(), row.scores.subspan(i * num_metas, num_metas));
             if (net <= 0.0) continue;
             const double pe = Clip01(pull * net);
-            if (pe > 0.0) {
-              const double coin =
-                  aligned
-                      ? UnitHash(sseed, kExtraFlip, kAlignedCoinRound,
-                                 scratch.NextAttempt(PairKey(u, y, num_items)),
-                                 src, u, x, y)
-                      : UnitHash(sseed, kExtraFlip, t, step, src, u, x, y);
-              if (coin < pe) try_queue(u, y);
+            if (aligned) {
+              if (pe <= 0.0) continue;
+              coin = HashToUnit(HashExtend(
+                  aligned_extra_prefix,
+                  scratch.NextAttempt(PairKey(u, y, num_items)), src, u, x,
+                  y));
             }
+            if (coin < pe) try_queue(u, y);
           }
         }
       }

@@ -51,10 +51,42 @@
 // instead of probing every meta's |I| x |I| matrix per pair. It is exact:
 // PersonalItemNetwork::RelNetRow forms the same float products
 // wmeta[m] * s(x,y|m) and sums them into a double per kind in the same
-// ascending-m order as RelNet; assoc_scale * Pact * Ppref is hoisted but
-// kept in AssociationModel::ExtraProb's left-to-right order; and a pair
-// with no complementary score has r^C = 0, so r^C - r^S <= 0 and the
-// scalar loop drew no coin (and consumed no attempt ordinal) for it either.
+// ascending-m order as RelNet; pull = assoc_scale * Pact * Ppref is hoisted
+// but kept in the scalar oracle's left-to-right order (ExtraProb in
+// tests/test_util.h); and a pair with no complementary score has r^C = 0,
+// so r^C - r^S <= 0 and the scalar loop drew no coin (and consumed no
+// attempt ordinal) for it either.
+//
+// Two further savings keep every output bit:
+//
+// Coin-hash prefixes. HashTuple is a left fold, so a coin's tuple can be
+// hashed in pieces (util::HashExtend). Round-keyed coins hash
+// (sample_seed, purpose, t, step) once per step, extend it by u' once per
+// frontier entry and by (u, x) once per edge; an association pair then
+// costs one HashCombine(y). The LT threshold prefix (sample_seed, purpose)
+// is hashed once per call. Aligned coins can hoist only
+// (sample_seed, purpose, aligned round), because the attempt ordinal comes
+// next.
+//
+// Coin-first rejection (round-keyed rounds only). Per edge, pe_ub =
+// clip01(pull * RelNetRowBound(wmeta, x)), where the bound is r^C with
+// every complementary score raised to its row maximum
+// (RelevanceModel::RowComplementaryMax), summed by the helper RelNetRow
+// uses. Per pair the coin is drawn first, and if coin >= pe_ub the pair is
+// skipped without computing RelNetRow. This is exact, not approximate:
+//   - weightings and scores lie in [0,1] (Problem::Validate, the
+//     RelevanceModel builders, the clip in UpdateWeights), so every term
+//     is >= 0 and raising a score can only raise its product;
+//   - IEEE rounding is monotone, so each float product, the double sum,
+//     the clip, Clip01(c) - Clip01(s) <= Clip01(c) (as Clip01(s) >= 0) and
+//     the product with pull >= 0 all keep Pext <= pe_ub;
+//   - the unhoisted loop adopts iff coin < Pext, which coin >= pe_ub rules
+//     out;
+//   - a round-keyed coin is a pure function of its event coordinates, so
+//     drawing one the unhoisted loop never drew (r^C - r^S <= 0) changes
+//     nothing.
+// The aligned path keeps scoring before drawing: NextAttempt may consume an
+// ordinal only for pairs with Pext > 0, exactly as before.
 #ifndef IMDPP_DIFFUSION_CAMPAIGN_SIMULATOR_H_
 #define IMDPP_DIFFUSION_CAMPAIGN_SIMULATOR_H_
 

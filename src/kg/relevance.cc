@@ -1,5 +1,7 @@
 #include "kg/relevance.h"
 
+#include <algorithm>
+
 #include "kg/meta_graph_matcher.h"
 
 namespace imdpp::kg {
@@ -58,7 +60,12 @@ void RelevanceModel::BuildRelated() {
   row_offsets_.assign(1, 0);
   row_items_.clear();
   row_scores_.clear();
+  row_comp_max_.assign(
+      static_cast<size_t>(num_items_) * static_cast<size_t>(num_complementary_),
+      0.0f);
   for (ItemId x = 0; x < num_items_; ++x) {
+    float* comp_max = row_comp_max_.data() +
+                      static_cast<size_t>(x) * num_complementary_;
     for (ItemId y = 0; y < num_items_; ++y) {
       if (y == x) continue;
       bool any = false;
@@ -74,6 +81,9 @@ void RelevanceModel::BuildRelated() {
       if (!complementary) continue;
       row_items_.push_back(y);
       for (int m : row_meta_order_) row_scores_.push_back(Score(m, x, y));
+      for (int j = 0; j < num_complementary_; ++j) {
+        comp_max[j] = std::max(comp_max[j], Score(row_meta_order_[j], x, y));
+      }
     }
     row_offsets_.push_back(row_items_.size());
   }

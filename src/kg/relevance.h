@@ -81,6 +81,17 @@ class RelevanceModel {
             {row_scores_.data() + begin * metas, (end - begin) * metas}};
   }
 
+  /// Per complementary slot j < NumComplementaryMetas(), the largest
+  /// score of slot j over AssocRow(x)'s pairs (0 for an empty row):
+  /// RowComplementaryMax(x)[j] == max_i AssocRow(x).scores[i * NumMetas()
+  /// + j]. With weightings >= 0 it bounds r^C of every pair in the row,
+  /// which lets the simulator reject a pair's coin before scoring it.
+  std::span<const float> RowComplementaryMax(ItemId x) const {
+    IMDPP_DCHECK(x >= 0 && x < num_items_);
+    const size_t num_c = static_cast<size_t>(num_complementary_);
+    return {row_comp_max_.data() + static_cast<size_t>(x) * num_c, num_c};
+  }
+
   /// Meta index behind each score slot of an association row: the
   /// complementary metas in ascending index, then the substitutable ones.
   std::span<const int> RowMetaOrder() const { return row_meta_order_; }
@@ -111,6 +122,8 @@ class RelevanceModel {
   std::vector<size_t> row_offsets_;
   std::vector<ItemId> row_items_;
   std::vector<float> row_scores_;
+  // RowComplementaryMax: NumComplementaryMetas() floats per item.
+  std::vector<float> row_comp_max_;
 };
 
 }  // namespace imdpp::kg

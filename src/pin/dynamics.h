@@ -1,10 +1,12 @@
-// Facade bundling the four dynamic factors (Fig. 3 of the paper). The
+// Facade bundling the dynamic-factor models (Fig. 3 of the paper): the
+// personal item network (relevance), preference and influence. The
 // diffusion engine talks to this class only; the individual factor models
-// stay independently testable.
+// stay independently testable. Factor (4), item associations, has no model
+// object: the simulator's pair-major kernel evaluates Pext inline from
+// PersonalItemNetwork::RelNetRow (diffusion/campaign_simulator.h).
 #ifndef IMDPP_PIN_DYNAMICS_H_
 #define IMDPP_PIN_DYNAMICS_H_
 
-#include "pin/association_model.h"
 #include "pin/influence_model.h"
 #include "pin/personal_item_network.h"
 #include "pin/preference_model.h"
@@ -17,8 +19,7 @@ class Dynamics {
       : params_(params),
         pin_(relevance, params_),
         preference_(pin_),
-        influence_(params_),
-        association_(pin_) {}
+        influence_(params_) {}
 
   // Non-copyable: internal models hold references into this object.
   Dynamics(const Dynamics&) = delete;
@@ -27,7 +28,6 @@ class Dynamics {
   const PersonalItemNetwork& pin() const { return pin_; }
   const PreferenceModel& preference() const { return preference_; }
   const InfluenceModel& influence() const { return influence_; }
-  const AssociationModel& association() const { return association_; }
   const PerceptionParams& params() const { return params_; }
   const kg::RelevanceModel& relevance() const { return pin_.relevance(); }
 
@@ -36,7 +36,6 @@ class Dynamics {
   PersonalItemNetwork pin_;
   PreferenceModel preference_;
   InfluenceModel influence_;
-  AssociationModel association_;
 };
 
 }  // namespace imdpp::pin

@@ -57,15 +57,25 @@ class PersonalItemNetwork {
     const size_t num_c = static_cast<size_t>(rel_.NumComplementaryMetas());
     IMDPP_DCHECK(scores.size() == order.size());
     IMDPP_DCHECK(wmeta.size() >= order.size());
-    double c = 0.0;
-    for (size_t j = 0; j < num_c; ++j) {
-      c += wmeta[static_cast<size_t>(order[j])] * scores[j];
-    }
-    double s = 0.0;
-    for (size_t j = num_c; j < order.size(); ++j) {
-      s += wmeta[static_cast<size_t>(order[j])] * scores[j];
-    }
+    const double c =
+        WeightedSum(wmeta, order.first(num_c), scores.first(num_c));
+    const double s =
+        WeightedSum(wmeta, order.subspan(num_c), scores.subspan(num_c));
     return Clip01(c) - Clip01(s);
+  }
+
+  /// Upper bound on RelNetRow(wmeta, ·) over every pair of
+  /// RelevanceModel::AssocRow(x), for weightings >= 0: r^C with each
+  /// complementary score raised to its row maximum
+  /// (RelevanceModel::RowComplementaryMax), summed by the same WeightedSum.
+  /// Exact as a bound, not just in real arithmetic: IEEE rounding is
+  /// monotone, so no float product, partial double sum or clip can shrink
+  /// when a score grows, and subtracting a clipped r^S >= 0 cannot grow
+  /// RelNetRow past its clipped r^C.
+  double RelNetRowBound(std::span<const float> wmeta, kg::ItemId x) const {
+    const std::span<const float> comp_max = rel_.RowComplementaryMax(x);
+    return Clip01(WeightedSum(
+        wmeta, rel_.RowMetaOrder().first(comp_max.size()), comp_max));
   }
 
   /// Applies the weight update to `state` given the items newly adopted at
@@ -79,6 +89,19 @@ class PersonalItemNetwork {
  private:
   double Rel(std::span<const float> wmeta, kg::ItemId x, kg::ItemId y,
              kg::RelationKind kind) const;
+
+  /// Σ_j wmeta[order[j]] * scores[j]: float products summed into a double
+  /// in ascending j. RelNetRow and RelNetRowBound share it, so the bound
+  /// runs the very operation sequence of the sum it bounds.
+  static double WeightedSum(std::span<const float> wmeta,
+                            std::span<const int> order,
+                            std::span<const float> scores) {
+    double sum = 0.0;
+    for (size_t j = 0; j < order.size(); ++j) {
+      sum += wmeta[static_cast<size_t>(order[j])] * scores[j];
+    }
+    return sum;
+  }
 
   const kg::RelevanceModel& rel_;
   const PerceptionParams& params_;

@@ -35,12 +35,21 @@ constexpr uint64_t HashCombine(uint64_t h, uint64_t v) {
   return SplitMix64(h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2)));
 }
 
-/// Hashes a variadic tuple of integers into one 64-bit value.
+/// Continues a HashTuple fold with more fields:
+/// HashExtend(HashTuple(a, b...), c...) == HashTuple(a, b..., c...), so a
+/// loop whose coins share a tuple prefix hashes the prefix once and only
+/// the varying suffix per coin.
 template <typename... Ts>
-constexpr uint64_t HashTuple(uint64_t first, Ts... rest) {
-  uint64_t h = SplitMix64(first);
+constexpr uint64_t HashExtend(uint64_t h, Ts... rest) {
   ((h = HashCombine(h, static_cast<uint64_t>(rest))), ...);
   return h;
+}
+
+/// Hashes a variadic tuple of integers into one 64-bit value (a left fold
+/// of HashCombine over the fields).
+template <typename... Ts>
+constexpr uint64_t HashTuple(uint64_t first, Ts... rest) {
+  return HashExtend(SplitMix64(first), rest...);
 }
 
 /// Maps a 64-bit hash to a double uniformly distributed in [0, 1).

@@ -274,14 +274,24 @@ TEST(CampaignSimulator, DynamicInfluenceStrengthensWithSimilarity) {
 
 // --- Kernel golden values --------------------------------------------------
 // Exact outcomes of fixed realizations, captured as hex-float literals from
-// the scalar association loop (RelatedItems x AssociationModel::ExtraProb)
-// that the pair-major relevance-row kernel replaced, on a catalog dataset
-// and on a substitute-heavy toy whose metas are listed out of kind order.
+// the scalar association loop (RelatedItems x ExtraProb, now the oracle in
+// tests/test_util.h) that the pair-major relevance-row kernel replaced, on
+// a catalog dataset and on a substitute-heavy toy whose metas are listed
+// out of kind order.
 // A kernel that draws a different coin, or skips or adds one, moves these
 // values; a one-ulp change in a probability usually does not, which is why
 // pin_test pins RelNetRow against RelNet bit for bit.
+//
+// The kYelpHot / kToyHot rows rerun both worlds at a high assoc_scale
+// (kHotYelpAssocScale, kHotToyAssocScale), where the coin-first rejection
+// bound pe_ub = clip01(pull * RelNetRowBound) clips to 1 on part of the
+// edges (about 5% on yelp-like, 60% on the toy) and many extra adoptions
+// fire. They were captured from the pair-major kernel as it stood before
+// the coin-hash prefixes and coin-first rejection.
 
-enum GoldenWorld { kYelp, kToy };
+enum GoldenWorld { kYelp, kToy, kYelpHot, kToyHot };
+constexpr double kHotYelpAssocScale = 10.0;
+constexpr double kHotToyAssocScale = 3.0;
 constexpr DiffusionModel kIC = DiffusionModel::kIndependentCascade;
 constexpr DiffusionModel kLT = DiffusionModel::kLinearThreshold;
 constexpr bool kAligned = true;
@@ -334,13 +344,32 @@ const GoldenRow kGoldenRows[] = {
     {kToy, kLT, kAligned, kNoMask, 5, 0x1.9p+4, 0x0p+0, 16},
     {kToy, kLT, kAligned, kMasked, 0, 0x1.f8p+3, 0x1.cp+2, 9},
     {kToy, kLT, kAligned, kMasked, 5, 0x1.9p+4, 0x1.34p+4, 16},
+    {kYelpHot, kIC, kRoundKeyed, kNoMask, 0, 0x1.b032bf8dbaa1p+12, 0x0p+0, 4353},
+    {kYelpHot, kIC, kRoundKeyed, kNoMask, 5, 0x1.aa8fcdb7f3aa2p+12, 0x0p+0, 4322},
+    {kYelpHot, kIC, kAligned, kNoMask, 0, 0x1.abdc8932fd8aap+12, 0x0p+0, 4308},
+    {kYelpHot, kIC, kAligned, kNoMask, 5, 0x1.adb6d6b62f9eep+12, 0x0p+0, 4343},
+    {kYelpHot, kLT, kRoundKeyed, kNoMask, 0, 0x1.b83d2130e8caep+12, 0x0p+0, 4434},
+    {kYelpHot, kLT, kRoundKeyed, kNoMask, 5, 0x1.b83b906a49ec2p+12, 0x0p+0, 4445},
+    {kYelpHot, kLT, kAligned, kNoMask, 0, 0x1.b313f1ff1b4c4p+12, 0x0p+0, 4392},
+    {kYelpHot, kLT, kAligned, kNoMask, 5, 0x1.ba21babba535dp+12, 0x0p+0, 4458},
+    {kToyHot, kIC, kRoundKeyed, kNoMask, 0, 0x1.11p+6, 0x0p+0, 41},
+    {kToyHot, kIC, kRoundKeyed, kNoMask, 5, 0x1.fep+5, 0x0p+0, 39},
+    {kToyHot, kIC, kAligned, kNoMask, 0, 0x1.fap+5, 0x0p+0, 38},
+    {kToyHot, kIC, kAligned, kNoMask, 5, 0x1.fcp+5, 0x0p+0, 40},
+    {kToyHot, kLT, kRoundKeyed, kNoMask, 0, 0x1.f4p+5, 0x0p+0, 39},
+    {kToyHot, kLT, kRoundKeyed, kNoMask, 5, 0x1.08p+6, 0x0p+0, 41},
+    {kToyHot, kLT, kAligned, kNoMask, 0, 0x1.08p+6, 0x0p+0, 40},
+    {kToyHot, kLT, kAligned, kNoMask, 5, 0x1.bp+5, 0x0p+0, 34},
 };
 // clang-format on
+
+constexpr const char* kWorldNames[] = {"kYelp", "kToy", "kYelpHot",
+                                       "kToyHot"};
 
 std::string GoldenLiteral(const GoldenRow& r) {
   char buf[256];
   std::snprintf(buf, sizeof(buf), "{%s, %s, %s, %s, %llu, %a, %a, %d},",
-                r.world == kYelp ? "kYelp" : "kToy",
+                kWorldNames[r.world],
                 r.model == kIC ? "kIC" : "kLT",
                 r.aligned ? "kAligned" : "kRoundKeyed",
                 r.masked ? "kMasked" : "kNoMask",
@@ -353,18 +382,24 @@ TEST(CampaignSimulatorGolden, OutcomesMatchScalarKernelBitForBit) {
   const data::Dataset yelp = data::MakeYelpLike(0.5);
   const Problem yelp_problem = yelp.MakeProblem(/*budget=*/500.0, 5);
   const TinyWorld toy = testutil::SubstituteHeavyToy();
+  Problem yelp_hot = yelp_problem;
+  yelp_hot.params.assoc_scale = kHotYelpAssocScale;
+  TinyWorld toy_hot = testutil::SubstituteHeavyToy();
+  toy_hot.problem.params.assoc_scale = kHotToyAssocScale;
+  const Problem* problems[] = {&yelp_problem, &toy.problem, &yelp_hot,
+                               &toy_hot.problem};
   const SeedGroup yelp_seeds{
       {0, 0, 1}, {14, 18, 1}, {52, 15, 2}, {111, 10, 3}, {7, 3, 5}};
   const SeedGroup toy_seeds{{0, 0, 1}, {3, 2, 1}, {5, 4, 2}, {1, 1, 3}};
 
   SimScratch scratch;
   for (const GoldenRow& want : kGoldenRows) {
-    const Problem& problem =
-        want.world == kYelp ? yelp_problem : toy.problem;
+    const Problem& problem = *problems[want.world];
+    const bool yelp_world = want.world == kYelp || want.world == kYelpHot;
     CampaignConfig cfg;
     cfg.model = want.model;
     CampaignSimulator sim(problem, cfg);
-    SeedSchedule sched(want.world == kYelp ? yelp_seeds : toy_seeds, problem);
+    SeedSchedule sched(yelp_world ? yelp_seeds : toy_seeds, problem);
     std::vector<uint8_t> mask(static_cast<size_t>(problem.NumUsers()));
     for (size_t u = 0; u < mask.size(); ++u) mask[u] = u % 3 != 0;
     sim.Restore(nullptr, nullptr, scratch);

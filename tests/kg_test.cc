@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "data/catalog.h"
@@ -215,8 +217,9 @@ bool HasComplementaryScore(const RelevanceModel& model, ItemId x, ItemId y) {
 /// The row contract: RowMetaOrder() lists the complementary metas then the
 /// substitutable ones, each ascending; AssocRow(x) is RelatedItems(x)
 /// filtered to pairs with a complementary score > 0, each pair carrying
-/// its scores in RowMetaOrder(). Returns the number of related pairs the
-/// filter dropped.
+/// its scores in RowMetaOrder(); RowComplementaryMax(x) holds each
+/// complementary slot's maximum over those pairs (0 for an empty row).
+/// Returns the number of related pairs the filter dropped.
 int ExpectRowsMatchMatrices(const RelevanceModel& model) {
   const int metas = model.NumMetas();
   std::vector<int> want_order;
@@ -251,13 +254,20 @@ int ExpectRowsMatchMatrices(const RelevanceModel& model) {
       ADD_FAILURE() << "x=" << x << ": " << row.scores.size() << " scores";
       continue;
     }
+    std::vector<float> want_max(static_cast<size_t>(num_c), 0.0f);
     for (size_t i = 0; i < want.size(); ++i) {
       for (int j = 0; j < metas; ++j) {
         EXPECT_EQ(row.scores[i * metas + j],
                   model.Score(order[j], x, want[i]))
             << "x=" << x << " y=" << want[i] << " slot " << j;
       }
+      for (int j = 0; j < num_c; ++j) {
+        want_max[j] = std::max(want_max[j], model.Score(order[j], x, want[i]));
+      }
     }
+    const std::span<const float> got_max = model.RowComplementaryMax(x);
+    EXPECT_EQ(std::vector<float>(got_max.begin(), got_max.end()), want_max)
+        << "x=" << x;
   }
   return dropped;
 }
@@ -303,7 +313,27 @@ TEST(RelevanceRows, FirstMetasAndSubsets) {
   EXPECT_EQ(all_s.NumComplementaryMetas(), 0);
   for (ItemId x = 0; x < all_s.NumItems(); ++x) {
     EXPECT_TRUE(all_s.AssocRow(x).items.empty());
+    EXPECT_TRUE(all_s.RowComplementaryMax(x).empty());
   }
+}
+
+TEST(RelevanceRows, ComplementaryMaxIsPerSlotRowMaximum) {
+  // Metas [S, C, C] over 3 items; row 0 has pairs (0,1) and (0,2), row 1
+  // only substitutable scores (an empty row), row 2 the single pair (2,0).
+  std::vector<MetaGraph> metas = {{"S", kS, {}}, {"C1", kC, {}}, {"C2", kC, {}}};
+  const RelevanceModel model = RelevanceModel::FromMatrices(
+      3, std::move(metas),
+      {{0, 0.9f, 0.8f, 0.7f, 0, 0.6f, 0.5f, 0, 0},
+       {0, 0.25f, 0.5f, 0, 0, 0, 0.125f, 0, 0},
+       {0, 0.75f, 0, 0, 0, 0, 0, 0, 0}});
+  ExpectRowsMatchMatrices(model);
+  auto max_of = [&](ItemId x) {
+    const std::span<const float> m = model.RowComplementaryMax(x);
+    return std::vector<float>(m.begin(), m.end());
+  };
+  EXPECT_EQ(max_of(0), (std::vector<float>{0.5f, 0.75f}));
+  EXPECT_EQ(max_of(1), (std::vector<float>{0.0f, 0.0f}));
+  EXPECT_EQ(max_of(2), (std::vector<float>{0.125f, 0.0f}));
 }
 
 TEST_F(Fig1Kg, RelevanceRowsFromKg) {
@@ -323,6 +353,9 @@ TEST_F(Fig1Kg, RelevanceRowsFromKg) {
   EXPECT_GT(row.scores[1], 0.0f);
   EXPECT_FLOAT_EQ(row.scores[3], 0.0f);  // iPhone-Charger: no shared brand
   EXPECT_TRUE(model.AssocRow(cable_).items.empty());
+  EXPECT_EQ(model.RowComplementaryMax(cable_)[0], 0.0f);
+  EXPECT_EQ(model.RowComplementaryMax(iphone_)[0],
+            std::max(row.scores[0], row.scores[2]));
 }
 
 TEST(RelevanceRows, CatalogToyFromKg) {

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "data/catalog.h"
@@ -210,22 +211,21 @@ TEST(AssociationModel, ComplementTriggersSubstituteSuppresses) {
   PerceptionParams params;
   params.assoc_scale = 1.0;
   PersonalItemNetwork pin(*rel, params);
-  AssociationModel assoc(pin);
   UserState st(3, {1.0f, 1.0f});
   // Promoted item 0 with pact=0.5, pref=0.8: y=1 complementary (net 0.6).
-  EXPECT_NEAR(assoc.ExtraProb(st, 0.5, 0.8, 0, 1), 0.5 * 0.8 * 0.6, 1e-6);
+  EXPECT_NEAR(testutil::ExtraProb(pin, st, 0.5, 0.8, 0, 1), 0.5 * 0.8 * 0.6,
+              1e-6);
   // y=2 substitutable (net -0.5): no extra adoption.
-  EXPECT_DOUBLE_EQ(assoc.ExtraProb(st, 0.5, 0.8, 0, 2), 0.0);
+  EXPECT_DOUBLE_EQ(testutil::ExtraProb(pin, st, 0.5, 0.8, 0, 2), 0.0);
 }
 
 TEST(AssociationModel, AdoptedTargetExcluded) {
   auto rel = ThreeItemRel();
   PerceptionParams params;
   PersonalItemNetwork pin(*rel, params);
-  AssociationModel assoc(pin);
   UserState st(3, {1.0f, 1.0f});
   st.Add(1);
-  EXPECT_DOUBLE_EQ(assoc.ExtraProb(st, 0.5, 0.8, 0, 1), 0.0);
+  EXPECT_DOUBLE_EQ(testutil::ExtraProb(pin, st, 0.5, 0.8, 0, 1), 0.0);
 }
 
 TEST(Dynamics, BundlesAllModels) {
@@ -318,6 +318,65 @@ TEST(PersonalItemNetwork, RelNetRowMatchesRelNetOnRestrictedModels) {
 TEST(PersonalItemNetwork, RelNetRowMatchesRelNetFromKg) {
   const data::Dataset ds = data::MakeFig1Toy();
   ExpectRelNetRowMatches(*ds.relevance);
+}
+
+/// The simulator's coin-first rejection bound: for every stored row pair,
+/// every test weighting and pulls on both sides of saturation,
+/// Clip01(pull * RelNetRow) <= Clip01(pull * RelNetRowBound), compared as
+/// exact doubles (not within a tolerance: a coin can land between two
+/// adjacent doubles). Counts (saturated, unsaturated) bounds into `seen`.
+void ExpectRowBoundHolds(const kg::RelevanceModel& model,
+                         std::pair<int, int>& seen) {
+  PerceptionParams params;
+  PersonalItemNetwork pin(model, params);
+  const int metas = model.NumMetas();
+  std::vector<double> pulls = {1e-9, 0.05, 0.37, 0.5, 1.0, 1.5, 3.0, 40.0};
+  Rng rng(17);
+  for (int k = 0; k < 8; ++k) pulls.push_back(4.0 * rng.NextUnit());
+  for (const std::vector<float>& w : TestWeightings(metas, 21)) {
+    for (kg::ItemId x = 0; x < model.NumItems(); ++x) {
+      const kg::RelevanceModel::AssociationRow row = model.AssocRow(x);
+      const double bound = pin.RelNetRowBound(w, x);
+      for (double pull : pulls) {
+        const double pe_ub = Clip01(pull * bound);
+        ++(pe_ub == 1.0 ? seen.first : seen.second);
+        for (size_t i = 0; i < row.items.size(); ++i) {
+          const double pe = Clip01(
+              pull * pin.RelNetRow(w, row.scores.subspan(i * metas, metas)));
+          EXPECT_LE(pe, pe_ub) << "x=" << x << " y=" << row.items[i]
+                               << " pull=" << pull;
+        }
+      }
+    }
+  }
+}
+
+TEST(PersonalItemNetwork, RelNetRowBoundCoversEveryRowPair) {
+  std::pair<int, int> seen{0, 0};
+  const kg::RelevanceModel model =
+      testutil::MakeRandomRelevance(12, {kS, kC, kS, kC, kC}, /*seed=*/3);
+  ExpectRowBoundHolds(model, seen);
+  for (int k = 1; k <= model.NumMetas(); ++k) {
+    SCOPED_TRACE(k);
+    ExpectRowBoundHolds(model.WithFirstMetas(k), seen);
+  }
+  ExpectRowBoundHolds(model.WithMetaSubset({4, 1, 0, 3}), seen);
+  ExpectRowBoundHolds(*ThreeItemRel(), seen);
+  ExpectRowBoundHolds(*data::MakeFig1Toy().relevance, seen);
+  EXPECT_GT(seen.first, 0);   // pe_ub clipped to 1
+  EXPECT_GT(seen.second, 0);  // pe_ub below 1
+}
+
+TEST(PersonalItemNetwork, RelNetRowBoundIsTightOnSinglePairRows) {
+  // A row with one pair: its maximum is its own score, so with no
+  // substitutable mass the bound equals the clipped r^C exactly.
+  auto rel = ThreeItemRel();  // row 0 = {1}, row 1 = {0}
+  PerceptionParams params;
+  PersonalItemNetwork pin(*rel, params);
+  const std::vector<float> w = {0.8f, 0.3f};
+  EXPECT_EQ(pin.RelNetRowBound(w, 0), pin.RelC(w, 0, 1));
+  EXPECT_EQ(pin.RelNetRowBound(w, 1), pin.RelNet(w, 1, 0));
+  EXPECT_EQ(pin.RelNetRowBound(w, 2), 0.0);  // empty row
 }
 
 }  // namespace

@@ -11,6 +11,9 @@
 #include "graph/graph_builder.h"
 #include "kg/relevance.h"
 #include "pin/perception_params.h"
+#include "pin/personal_item_network.h"
+#include "pin/user_state.h"
+#include "util/mathutil.h"
 #include "util/rng.h"
 
 namespace imdpp::testutil {
@@ -66,6 +69,25 @@ inline kg::RelevanceModel MakeRandomRelevance(
 inline std::unique_ptr<kg::RelevanceModel> MakeZeroRelevance(int num_items) {
   std::vector<float> z(static_cast<size_t>(num_items) * num_items, 0.0f);
   return MakeRelevance(num_items, z, z);
+}
+
+/// Scalar oracle for factor (4), item associations (Sec. V-A): the
+/// probability that u, promoted x over an edge of dynamic strength `pact`
+/// with preference `ppref_x` for x, also adopts y:
+///   Pext = clip01(assoc_scale * pact * ppref_x * max(0, r^C - r^S)).
+/// Complementary relevance drives extra adoptions, substitutable relevance
+/// suppresses them, and an item u already adopted is never triggered. The
+/// simulator's pair-major kernel evaluates the same products in the same
+/// left-to-right order.
+inline double ExtraProb(const pin::PersonalItemNetwork& pin,
+                        const pin::UserState& state, double pact,
+                        double ppref_x, kg::ItemId x, kg::ItemId y) {
+  const pin::PerceptionParams& params = pin.params();
+  if (params.assoc_scale <= 0.0) return 0.0;
+  if (state.Has(y)) return 0.0;
+  const double net = pin.RelNet(state.wmeta(), x, y);
+  if (net <= 0.0) return 0.0;
+  return Clip01(params.assoc_scale * pact * ppref_x * net);
 }
 
 struct TinyWorldSpec {

@@ -59,6 +59,66 @@ TEST(Hash, CollisionFreeOnSmallDomain) {
   EXPECT_EQ(seen.size(), 64u * 64u);
 }
 
+// HashExtend continues HashTuple's fold: hashing a prefix once and
+// extending it by the rest is the same value at every split point. The
+// fields mix the simulator's coin-key shapes (seed, purpose tag, round,
+// step, users, items) with negative and full-width values, which must
+// take the same static_cast<uint64_t> in both.
+TEST(Hash, ExtendMatchesTupleAtEverySplit) {
+  const uint64_t seed = 0xfedcba9876543210ULL;
+  const uint64_t tag = 2;
+  const int neg = -7;
+  const int64_t big = int64_t{1} << 40;
+  const uint64_t top = ~uint64_t{0};
+  const uint32_t ordinal = 0xffffffffu;
+  const int u = 123456789;
+  const int y = -1;
+
+  // 7 fields.
+  const uint64_t want7 = HashTuple(seed, tag, neg, big, top, ordinal, u);
+  EXPECT_EQ(HashExtend(HashTuple(seed), tag, neg, big, top, ordinal, u),
+            want7);
+  EXPECT_EQ(HashExtend(HashTuple(seed, tag), neg, big, top, ordinal, u),
+            want7);
+  EXPECT_EQ(HashExtend(HashTuple(seed, tag, neg), big, top, ordinal, u),
+            want7);
+  EXPECT_EQ(HashExtend(HashTuple(seed, tag, neg, big), top, ordinal, u),
+            want7);
+  EXPECT_EQ(HashExtend(HashTuple(seed, tag, neg, big, top), ordinal, u),
+            want7);
+  EXPECT_EQ(HashExtend(HashTuple(seed, tag, neg, big, top, ordinal), u),
+            want7);
+  EXPECT_EQ(HashExtend(want7), want7);  // empty suffix
+
+  // 8 fields, including chained extensions (the simulator's per-step,
+  // per-source, per-edge, per-pair levels).
+  const uint64_t want8 = HashTuple(seed, tag, neg, big, top, ordinal, u, y);
+  EXPECT_EQ(HashExtend(HashTuple(seed), tag, neg, big, top, ordinal, u, y),
+            want8);
+  EXPECT_EQ(HashExtend(HashTuple(seed, tag), neg, big, top, ordinal, u, y),
+            want8);
+  EXPECT_EQ(HashExtend(HashTuple(seed, tag, neg), big, top, ordinal, u, y),
+            want8);
+  EXPECT_EQ(HashExtend(HashTuple(seed, tag, neg, big), top, ordinal, u, y),
+            want8);
+  EXPECT_EQ(HashExtend(HashTuple(seed, tag, neg, big, top), ordinal, u, y),
+            want8);
+  EXPECT_EQ(HashExtend(HashTuple(seed, tag, neg, big, top, ordinal), u, y),
+            want8);
+  EXPECT_EQ(HashExtend(want7, y), want8);
+  const uint64_t step = HashTuple(seed, tag, neg, big);
+  EXPECT_EQ(HashExtend(HashExtend(HashExtend(step, top), ordinal, u), y),
+            want8);
+  EXPECT_EQ(HashToUnit(HashExtend(want7, y)),
+            UnitHash(seed, tag, neg, big, top, ordinal, u, y));
+
+  // A negative field hashes as its sign-extended 64-bit image.
+  EXPECT_EQ(HashExtend(HashTuple(seed), neg),
+            HashExtend(HashTuple(seed), static_cast<uint64_t>(int64_t{-7})));
+  EXPECT_NE(HashExtend(HashTuple(seed), neg),
+            HashExtend(HashTuple(seed), uint64_t{0xfffffff9u}));
+}
+
 // HashBytes is the XXH64 algorithm; on little-endian hosts (where
 // memcpy-loaded words match XXH64's canonical byte order) it reproduces
 // the reference vectors exactly.
