@@ -1,6 +1,6 @@
 #include "cli/cli.h"
 
-#include <cerrno>
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -24,7 +24,7 @@ namespace imdpp::cli {
 
 namespace {
 
-constexpr const char* kUsage = R"(imdpp — influence maximization with dynamic personal perception (ICDE'21)
+constexpr const char* kUsageHead = R"(imdpp — influence maximization with dynamic personal perception (ICDE'21)
 
 usage: imdpp <command> [flags]
 
@@ -42,32 +42,7 @@ commands:
 
 shared flags (plan, compare):
   --dataset NAME[@SCALE]   dataset registry key, scale-<N>, or spec .json
-  --scale S                dataset size multiplier (default 1, or @SCALE)
-  --dataset-seed N         dataset RNG seed (0 = the flavor's default)
-  --budget B               campaign budget        (default 300)
-  --promotions T           promotion rounds       (default 10)
-  --config FILE            planner-config JSON overrides
-  --seed N                 master RNG seed
-  --threads N              Monte-Carlo executors (-1 = hardware, 0 = serial)
-  --theta N                market-overlap theta (market.overlap_theta)
-  --selection-samples N    search-time Monte-Carlo samples
-  --eval-samples N         final-evaluation Monte-Carlo samples
-  --backend NAME           σ-evaluation backend (default mc; see `imdpp
-                           backends`)
-  --adaptive               variance-adaptive sequential stopping for the
-                           greedy argmax loops (eval.adaptive.enabled):
-                           candidates race on paired per-sample values and
-                           resolved ones stop early. Off = the fixed-count
-                           reference loops (bit-identical across releases)
-  --adaptive-delta D       racing error budget δ in (0, 1) (default 0.05;
-                           implies nothing unless --adaptive)
-  --adaptive-budget N      racing sample budget (eval.adaptive.max_samples):
-                           the race decides on at most N samples per
-                           candidate; the winner is still re-evaluated at
-                           the full count (0 = no budget, the default)
-  --deadline-ms N          per-run wall-clock budget in milliseconds
-                           (0 = none); an expired deadline fails the run
-                           with deadline_exceeded instead of finishing
+  --config FILE            planner-config JSON overrides (README knob table)
   --timings                include wall-clock fields (breaks byte-stability)
   --out FILE               write JSON here instead of stdout
   --trace-out FILE         record Chrome trace-event JSON spans for the run
@@ -77,6 +52,11 @@ shared flags (plan, compare):
                            gauges, histograms, timings included) as JSON;
                            off = only the per-result counters are kept
 
+knob flags (plan, compare, datasets --prep; each overrides its --config
+key), each with [kind range; config key]:
+)";
+
+constexpr const char* kUsageTail = R"(
 plan:     --planner NAME   (default dysim)
 compare:  --planners A,B,C (comma-separated registry names)
 sweep:    --config FILE (required), --out FILE, --csv FILE, --timings,
@@ -85,37 +65,43 @@ datasets: --prep plus the shared flags above (problem coordinates default
           to --budget 300 --promotions 10)
 
 flag files: --flagfile FILE splices whitespace-separated tokens from FILE
-(# comments); flags given after it override the file's.
+(# comments); flags given after it override the file's. Every flag also
+takes its underscore spelling (--deadline_ms).
 
 robustness: failures are structured — every error prints one JSON line
 {"error":{"code":...,"code_name":...,"message":...}} on stderr before the
-human message, and exits 2 for invalid_argument, 1 otherwise.
+human message, and exits 2 for invalid_argument, 1 otherwise. An
+undeclared flag, or a knob value of the wrong kind or outside its range
+(--backend nope included), is invalid_argument.
 --fail-on SPEC[,SPEC...] (or the IMDPP_FAIL_ON env var) arms named fault
 points for testing, SPEC = point[:RANGE][:CODE], e.g.
-`prep.build:1:resource_exhausted`. Underscore spellings --deadline_ms /
---fail_on are accepted aliases.
+`prep.build:1:resource_exhausted`.
 
 Identical invocations print identical bytes (unless --timings), so
 `imdpp plan ... | diff - <(imdpp plan ...)` is a determinism check.
 )";
 
-/// CLI default effort = the bench harnesses' Effort defaults: moderate
-/// samples and candidate pruning, so `imdpp plan --dataset yelp-like
-/// --planner dysim --budget 300` answers in seconds, not hours. Override
-/// any of it with --config / the sample flags.
-api::PlannerConfig DefaultCliConfig() {
-  api::PlannerConfig cfg;
-  cfg.selection_samples = 10;
-  cfg.eval_samples = 24;
-  cfg.candidates.max_users = 24;
-  cfg.candidates.max_items = 8;
-  return cfg;
-}
+/// Flags the subcommands read themselves; every other flag is a knob.
+constexpr std::string_view kCommandFlags[] = {
+    "help",  "dataset", "config",      "timings",   "out",
+    "csv",   "quiet",   "prep",        "planner",   "planners",
+    "trace-out", "metrics-out", "fail-on"};
 
-int UsageError(std::ostream& err, const std::string& message) {
-  err << "imdpp: " << message << "\n";
-  err << "run `imdpp help` for usage\n";
-  return 2;
+/// The usage text, its knob lines written from the knob table.
+std::string Usage() {
+  std::string text = kUsageHead;
+  for (const config::KnobInfo& knob : config::DescribeKnobs()) {
+    if (knob.flag.empty()) continue;
+    std::string line = "  " + knob.flag;
+    if (knob.kind != "bool") {
+      line += knob.kind == "backend" || knob.kind == "choice" ? " NAME" : " N";
+    }
+    line.resize(std::max<size_t>(line.size() + 1, 27), ' ');
+    text += line + knob.help + "\n" + std::string(27, ' ') + "[" +
+            knob.kind + (knob.range.empty() ? "" : " " + knob.range) + "; " +
+            knob.path + "]\n";
+  }
+  return text + kUsageTail;
 }
 
 int RuntimeError(std::ostream& err, const std::string& message) {
@@ -141,56 +127,20 @@ int StatusError(std::ostream& err, const util::Status& status) {
   return status.code() == util::StatusCode::kInvalidArgument ? 2 : 1;
 }
 
-bool ParseNumberFlag(const config::ParsedArgs& args, const char* key,
-                     double* out, std::string* error) {
-  const std::string* v = args.Find(key);
-  if (v == nullptr) return true;
-  char* end = nullptr;
-  const double parsed = std::strtod(v->c_str(), &end);
-  if (v->empty() || end == nullptr || *end != '\0') {
-    *error = std::string("--") + key + " expects a number, got \"" + *v +
-             "\"";
-    return false;
+/// Shared plan/compare setup: the knob values (dataset spec, resolved
+/// PlannerConfig, problem coordinates) from flags and an optional --config
+/// JSON file, plus the output switches.
+struct ProblemSetup : config::Knobs {
+  /// CLI default effort = the bench harnesses' Effort defaults: moderate
+  /// samples and candidate pruning, so `imdpp plan --dataset yelp-like
+  /// --planner dysim --budget 300` answers in seconds, not hours.
+  /// Override any of it with --config / the sample flags.
+  ProblemSetup() {
+    config.selection_samples = 10;
+    config.eval_samples = 24;
+    config.candidates.max_users = 24;
+    config.candidates.max_items = 8;
   }
-  *out = parsed;
-  return true;
-}
-
-bool ParseIntFlag(const config::ParsedArgs& args, const char* key, int* out,
-                  std::string* error) {
-  double v = *out;
-  if (!ParseNumberFlag(args, key, &v, error)) return false;
-  *out = static_cast<int>(v);
-  return true;
-}
-
-/// Seeds parse through strtoull (base 0: decimal or 0x...), not strtod —
-/// a 64-bit seed above 2^53 must reach the engine bit-exact, and a
-/// negative or overflowing value must fail instead of casting to UB.
-bool ParseSeedFlag(const config::ParsedArgs& args, const char* key,
-                   uint64_t* out, std::string* error) {
-  const std::string* v = args.Find(key);
-  if (v == nullptr) return true;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v->c_str(), &end, 0);
-  if (v->empty() || end == nullptr || *end != '\0' ||
-      v->front() == '-' || errno == ERANGE) {
-    *error = std::string("--") + key +
-             " expects an unsigned 64-bit seed, got \"" + *v + "\"";
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
-
-/// Shared plan/compare setup: dataset spec + resolved PlannerConfig +
-/// problem coordinates from flags (and an optional --config JSON file).
-struct ProblemSetup {
-  data::DatasetSpec dataset;
-  api::PlannerConfig config = DefaultCliConfig();
-  double budget = 300.0;
-  int promotions = 10;
   bool timings = false;
   std::string trace_out;    ///< --trace-out path ("" = tracing disarmed)
   std::string metrics_out;  ///< --metrics-out path ("" = registry disarmed)
@@ -199,17 +149,11 @@ struct ProblemSetup {
 util::Status LoadProblemSetup(const config::ParsedArgs& args,
                               ProblemSetup* setup,
                               bool dataset_required = true) {
-  std::string error;
   const std::string* dataset = args.Find("dataset");
   if (dataset == nullptr && dataset_required) {
     return util::InvalidArgumentError("--dataset is required");
   }
   if (dataset != nullptr) setup->dataset = data::ParseDatasetSpec(*dataset);
-  if (!ParseNumberFlag(args, "scale", &setup->dataset.scale, &error) ||
-      !ParseSeedFlag(args, "dataset-seed", &setup->dataset.seed, &error)) {
-    return util::InvalidArgumentError(std::move(error));
-  }
-
   if (const std::string* config_path = args.Find("config")) {
     util::Json overrides;
     IMDPP_RETURN_IF_ERROR(config::LoadJsonFile(*config_path, &overrides));
@@ -220,59 +164,8 @@ util::Status LoadProblemSetup(const config::ParsedArgs& args,
                           *config_path + ": " + applied.message());
     }
   }
-  if (!ParseNumberFlag(args, "budget", &setup->budget, &error) ||
-      !ParseIntFlag(args, "promotions", &setup->promotions, &error) ||
-      !ParseSeedFlag(args, "seed", &setup->config.seed, &error) ||
-      !ParseIntFlag(args, "threads", &setup->config.num_threads, &error) ||
-      !ParseIntFlag(args, "theta", &setup->config.market.overlap_theta,
-                    &error) ||
-      !ParseIntFlag(args, "selection-samples",
-                    &setup->config.selection_samples, &error) ||
-      !ParseIntFlag(args, "eval-samples", &setup->config.eval_samples,
-                    &error)) {
-    return util::InvalidArgumentError(std::move(error));
-  }
-  // --deadline-ms (underscore alias accepted; later flag wins because both
-  // parse into the same slot in order): per-run wall-clock budget, 0 = off.
-  double deadline = static_cast<double>(setup->config.deadline_ms);
-  if (!ParseNumberFlag(args, "deadline-ms", &deadline, &error) ||
-      !ParseNumberFlag(args, "deadline_ms", &deadline, &error)) {
-    return util::InvalidArgumentError(std::move(error));
-  }
-  if (deadline < 0) {
-    return util::InvalidArgumentError("--deadline-ms must be >= 0");
-  }
-  setup->config.deadline_ms = static_cast<int64_t>(deadline);
-  if (const std::string* backend = args.Find("backend")) {
-    if (!diffusion::SigmaBackendRegistry::Has(*backend)) {
-      return util::NotFoundError(
-          diffusion::SigmaBackendRegistry::UnknownMessage(*backend));
-    }
-    setup->config.eval.backend = *backend;
-  }
-  // --adaptive: variance-adaptive sequential stopping for the greedy
-  // argmax loops; --adaptive-delta tightens/loosens the racing error
-  // budget (underscore alias accepted, deadline-ms pattern).
-  if (args.Has("adaptive")) setup->config.eval.adaptive.enabled = true;
-  double adaptive_delta = setup->config.eval.adaptive.delta;
-  if (!ParseNumberFlag(args, "adaptive-delta", &adaptive_delta, &error) ||
-      !ParseNumberFlag(args, "adaptive_delta", &adaptive_delta, &error)) {
-    return util::InvalidArgumentError(std::move(error));
-  }
-  if (adaptive_delta <= 0.0 || adaptive_delta >= 1.0) {
-    return util::InvalidArgumentError("--adaptive-delta must be in (0, 1)");
-  }
-  setup->config.eval.adaptive.delta = adaptive_delta;
-  double adaptive_budget =
-      static_cast<double>(setup->config.eval.adaptive.max_samples);
-  if (!ParseNumberFlag(args, "adaptive-budget", &adaptive_budget, &error) ||
-      !ParseNumberFlag(args, "adaptive_budget", &adaptive_budget, &error)) {
-    return util::InvalidArgumentError(std::move(error));
-  }
-  if (adaptive_budget < 0.0) {
-    return util::InvalidArgumentError("--adaptive-budget must be >= 0");
-  }
-  setup->config.eval.adaptive.max_samples = static_cast<int>(adaptive_budget);
+  // After --config, so every knob flag overrides the file's key.
+  IMDPP_RETURN_IF_ERROR(config::ApplyKnobFlags(args, setup));
   setup->timings = args.Has("timings");
   setup->trace_out = args.GetOr("trace-out", "");
   setup->metrics_out = args.GetOr("metrics-out", "");
@@ -309,6 +202,18 @@ class ObservabilityScope {
   const bool metrics_;
 };
 
+/// Writes `text` to `path`; returns the exit code.
+int WriteFile(const std::string& path, const std::string& text,
+              std::ostream& err) {
+  std::ofstream file(path);
+  file << text;
+  file.flush();
+  if (!file.good()) {  // a truncated artifact must not exit 0
+    return RuntimeError(err, "cannot write \"" + path + "\"");
+  }
+  return 0;
+}
+
 /// Writes the --trace-out / --metrics-out artifacts after a successful
 /// command. The metrics file is the result snapshot merged with whatever
 /// the armed registry recorded (pool/task metrics), timings included —
@@ -325,38 +230,23 @@ int EmitObservability(const ProblemSetup& setup,
     merged.Merge(util::MetricRegistry::Global().Snapshot());
     const util::Json json =
         util::MetricsJson(merged, /*include_timings=*/true);
-    std::ofstream file(setup.metrics_out);
-    file << json.Dump(2) << "\n";
-    file.flush();
-    if (!file.good()) {
-      return RuntimeError(err,
-                          "cannot write \"" + setup.metrics_out + "\"");
-    }
+    return WriteFile(setup.metrics_out, json.Dump(2) + "\n", err);
   }
   return 0;
 }
 
-/// Writes `text` to --out (if given) or to `out`.
-bool EmitText(const config::ParsedArgs& args, const char* flag,
-              const std::string& text, std::ostream& out,
-              std::string* error) {
-  const std::string* path = args.Find(flag);
-  if (path == nullptr) {
-    out << text;
-    return true;
+/// Writes `text` to --out if given, else to `out`; returns the exit code.
+int EmitText(const config::ParsedArgs& args, const std::string& text,
+             std::ostream& out, std::ostream& err) {
+  if (const std::string* path = args.Find("out")) {
+    return WriteFile(*path, text, err);
   }
-  std::ofstream file(*path);
-  file << text;
-  file.flush();
-  if (!file.good()) {  // a truncated artifact must not exit 0
-    *error = "cannot write \"" + *path + "\"";
-    return false;
-  }
-  return true;
+  out << text;
+  return 0;
 }
 
 /// Seeds echo losslessly: above 2^53 a JSON number would round, so big
-/// seeds print as digit strings — which ReadSeed accepts right back.
+/// seeds print as digit strings — which the seed knobs accept right back.
 util::Json SeedJsonValue(uint64_t seed) {
   if (seed < (1ULL << 53)) return util::Json(seed);
   return util::Json(std::to_string(seed));
@@ -385,7 +275,6 @@ std::vector<std::string> SplitCommaList(const std::string& text) {
 int RunPlan(const config::ParsedArgs& args, std::ostream& out,
             std::ostream& err) {
   ProblemSetup setup;
-  std::string error;
   util::Status status = LoadProblemSetup(args, &setup);
   if (!status.ok()) return StatusError(err, status);
   const std::string planner = args.GetOr("planner", "dysim");
@@ -412,8 +301,8 @@ int RunPlan(const config::ParsedArgs& args, std::ostream& out,
   output.Set("promotions", setup.promotions);
   output.Set("seed", SeedJsonValue(setup.config.seed));
   output.Set("result", report::PlanResultJson(result, setup.timings));
-  if (!EmitText(args, "out", output.Dump(2) + "\n", out, &error)) {
-    return RuntimeError(err, error);
+  if (const int code = EmitText(args, output.Dump(2) + "\n", out, err)) {
+    return code;
   }
   return EmitObservability(setup, result.metrics, err);
 }
@@ -421,16 +310,17 @@ int RunPlan(const config::ParsedArgs& args, std::ostream& out,
 int RunCompare(const config::ParsedArgs& args, std::ostream& out,
                std::ostream& err) {
   ProblemSetup setup;
-  std::string error;
   util::Status status = LoadProblemSetup(args, &setup);
   if (!status.ok()) return StatusError(err, status);
   const std::string* planners_flag = args.Find("planners");
   if (planners_flag == nullptr) {
-    return UsageError(err, "--planners A,B,C is required");
+    return StatusError(
+        err, util::InvalidArgumentError("--planners A,B,C is required"));
   }
   const std::vector<std::string> planners = SplitCommaList(*planners_flag);
   if (planners.empty()) {
-    return UsageError(err, "--planners needs at least one name");
+    return StatusError(err, util::InvalidArgumentError(
+                                "--planners needs at least one name"));
   }
   for (const std::string& name : planners) {
     if (!api::PlannerRegistry::Has(name)) {
@@ -465,8 +355,8 @@ int RunCompare(const config::ParsedArgs& args, std::ostream& out,
   for (auto& [key, value] : body.members()) {
     if (key != "dataset") output.Set(key, value);
   }
-  if (!EmitText(args, "out", output.Dump(2) + "\n", out, &error)) {
-    return RuntimeError(err, error);
+  if (const int code = EmitText(args, output.Dump(2) + "\n", out, err)) {
+    return code;
   }
   // The metrics artifact totals every compared planner's snapshot.
   util::MetricsSnapshot totals;
@@ -478,9 +368,9 @@ int RunSweepCommand(const config::ParsedArgs& args, std::ostream& out,
                     std::ostream& err) {
   const std::string* config_path = args.Find("config");
   if (config_path == nullptr) {
-    return UsageError(err, "sweep needs --config FILE (a JSON sweep spec)");
+    return StatusError(err, util::InvalidArgumentError(
+                                "sweep needs --config FILE (a JSON sweep spec)"));
   }
-  std::string error;
   util::Json parsed;
   util::Status status = config::LoadJsonFile(*config_path, &parsed);
   if (!status.ok()) return StatusError(err, status);
@@ -504,16 +394,11 @@ int RunSweepCommand(const config::ParsedArgs& args, std::ostream& out,
   status = RunSweep(spec, &records, progress);
   if (!status.ok()) return StatusError(err, status);
   const util::Json output = report::SweepJson(spec.name, records, timings);
-  if (!EmitText(args, "out", output.Dump(2) + "\n", out, &error)) {
-    return RuntimeError(err, error);
+  if (const int code = EmitText(args, output.Dump(2) + "\n", out, err)) {
+    return code;
   }
   if (const std::string* csv_path = args.Find("csv")) {
-    std::ofstream csv(*csv_path);
-    csv << report::SweepCsv(records, timings);
-    csv.flush();
-    if (!csv.good()) {
-      return RuntimeError(err, "cannot write \"" + *csv_path + "\"");
-    }
+    return WriteFile(*csv_path, report::SweepCsv(records, timings), err);
   }
   return 0;
 }
@@ -533,7 +418,6 @@ int RunDatasets(const config::ParsedArgs& args, std::ostream& out,
   // flagged problem coordinates, and report the structure. Deterministic
   // byte-stable JSON unless --timings (which adds the build millis).
   ProblemSetup setup;
-  std::string error;
   util::Status status =
       LoadProblemSetup(args, &setup, /*dataset_required=*/false);
   if (!status.ok()) return StatusError(err, status);
@@ -587,8 +471,8 @@ int RunDatasets(const config::ParsedArgs& args, std::ostream& out,
   util::Json output = util::Json::Object();
   output.Set("command", "datasets");
   output.Set("prep", report::PrepStatsJson(stats, setup.timings));
-  if (!EmitText(args, "out", output.Dump(2) + "\n", out, &error)) {
-    return RuntimeError(err, error);
+  if (const int code = EmitText(args, output.Dump(2) + "\n", out, err)) {
+    return code;
   }
   return 0;
 }
@@ -641,6 +525,9 @@ int Run(const std::vector<std::string>& args, std::ostream& out,
   config::ParsedArgs parsed;
   const util::Status parse_status = config::ParseArgs(args, &parsed);
   if (!parse_status.ok()) return StatusError(err, parse_status);
+  const util::Status declared =
+      config::CheckFlagsDeclared(parsed, kCommandFlags);
+  if (!declared.ok()) return StatusError(err, declared);
   // Fault arming before any command work, so config.parse / data.load
   // fire on this very invocation. Env first: --fail-on re-arms (replaces)
   // points it shares with IMDPP_FAIL_ON, so the flag wins.
@@ -649,7 +536,6 @@ int Run(const std::vector<std::string>& args, std::ostream& out,
     if (!armed.ok()) return StatusError(err, armed);
   }
   const std::string* fail_on = parsed.Find("fail-on");
-  if (fail_on == nullptr) fail_on = parsed.Find("fail_on");
   if (fail_on != nullptr) {
     const util::Status armed = util::FaultInjector::Global().ArmList(*fail_on);
     if (!armed.ok()) return StatusError(err, armed);
@@ -662,7 +548,7 @@ int Run(const std::vector<std::string>& args, std::ostream& out,
   const int code = [&] {
     if (parsed.command.empty() || parsed.command == "help" ||
         parsed.Has("help")) {
-      (parsed.command.empty() && !parsed.Has("help") ? err : out) << kUsage;
+      (parsed.command.empty() && !parsed.Has("help") ? err : out) << Usage();
       return parsed.command.empty() && !parsed.Has("help") ? 2 : 0;
     }
     if (parsed.command == "plan") return RunPlan(parsed, out, err);
@@ -670,9 +556,10 @@ int Run(const std::vector<std::string>& args, std::ostream& out,
     if (parsed.command == "sweep") return RunSweepCommand(parsed, out, err);
     if (parsed.command == "datasets") return RunDatasets(parsed, out, err);
     if (parsed.command == "backends") return RunBackends(parsed, out, err);
-    return UsageError(err, "unknown command \"" + parsed.command +
-                               "\" (expected plan, compare, sweep, datasets, "
-                               "backends)");
+    return StatusError(err, util::InvalidArgumentError(
+                                "unknown command \"" + parsed.command +
+                                "\" (expected plan, compare, sweep, "
+                                "datasets, backends)"));
   }();
   if (armed_faults) util::FaultInjector::Global().Reset();
   return code;

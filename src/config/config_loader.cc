@@ -1,9 +1,15 @@
 #include "config/config_loader.h"
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 #include "diffusion/sigma_backend.h"
 #include "util/fault_injection.h"
@@ -12,199 +18,356 @@ namespace imdpp::config {
 
 namespace {
 
-// ---------------------------------------------------- typed field readers
-// Each returns false with a "section.key"-qualified message; a mistyped
-// or misspelled knob must fail loudly, never silently run a default.
+// ------------------------------------------------------------ knob table
 
-bool ReadInt(const util::Json& v, const std::string& where, int* out,
-             std::string* error) {
-  if (!v.is_number() || v.AsDouble() != std::floor(v.AsDouble())) {
-    *error = where + " must be an integer";
-    return false;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Far above any host's core count: a typo like `--threads 1000000` must
+/// fail here, not ask the OS for a million threads.
+constexpr int kMaxThreads = 1024;
+
+/// The numbers a numeric knob accepts; an infinite end is unbounded.
+struct Range {
+  double lo = -kInf;
+  double hi = kInf;
+  bool lo_open = false;
+  bool hi_open = false;
+
+  bool Contains(double v) const {
+    return (lo_open ? v > lo : v >= lo) && (hi_open ? v < hi : v <= hi);
   }
-  *out = static_cast<int>(v.AsInt());
-  return true;
-}
 
-bool ReadDouble(const util::Json& v, const std::string& where, double* out,
-                std::string* error) {
-  if (!v.is_number()) {
-    *error = where + " must be a number";
-    return false;
+  std::string Text() const {
+    const auto num = [](double v) { return util::Json(v).Dump(); };
+    if (std::isinf(lo) && std::isinf(hi)) return "any";
+    if (std::isinf(hi)) return (lo_open ? "> " : ">= ") + num(lo);
+    return std::string("in ") + (lo_open ? "(" : "[") + num(lo) + ", " +
+           num(hi) + (hi_open ? ")" : "]");
+  }
+};
+
+constexpr Range AtLeast(double lo) { return Range{lo}; }
+constexpr Range kThreadCount{util::kAutoThreads, kMaxThreads};
+constexpr Range kPositive{0.0, kInf, /*lo_open=*/true};
+constexpr Range kUnitOpen{0.0, 1.0, /*lo_open=*/true, /*hi_open=*/true};
+constexpr Range kUnitHalfOpen{0.0, 1.0, /*lo_open=*/true};
+
+/// The member a row sets, as an accessor into Knobs. The member's type is
+/// the row's kind: int, double, bool, a u64 seed, a registered backend
+/// name (std::string) or a fixed choice list (an enum).
+using Field = std::variant<int& (*)(Knobs&), int64_t& (*)(Knobs&),
+                           double& (*)(Knobs&), bool& (*)(Knobs&),
+                           uint64_t& (*)(Knobs&), std::string& (*)(Knobs&),
+                           diffusion::DiffusionModel& (*)(Knobs&),
+                           core::MarketOrderMetric& (*)(Knobs&)>;
+
+#define IMDPP_KNOB(member) +[](Knobs& k) -> auto& { return k.member; }
+
+struct Knob {
+  const char* path;  ///< dotted JSON path; "budgets[]" = a sweep axis
+  const char* flag;  ///< CLI flag without "--", or nullptr (JSON only)
+  Field field;
+  const char* help;
+  Range range = {};  ///< numeric kinds
+  /// Enum kinds: the accepted names in enum order, ", "-separated.
+  /// Backend kinds: non-null = this value is accepted too ("" = none).
+  const char* choices = nullptr;
+};
+
+// Rows a sweep axis reads too, named so the axis shares their range.
+constexpr Knob kBudgetKnob{"budgets[]", "budget", IMDPP_KNOB(budget),
+                           "campaign budget b", AtLeast(0)};
+constexpr Knob kPromotionsKnob{"promotions[]", "promotions",
+                               IMDPP_KNOB(promotions),
+                               "promotion rounds T", AtLeast(1)};
+constexpr Knob kThetaKnob{"market.overlap_theta", "theta",
+                          IMDPP_KNOB(config.market.overlap_theta),
+                          "market-overlap theta (Sec. V-B)",
+                          AtLeast(0)};
+constexpr Knob kBackendKnob{"eval.backend", "backend",
+                            IMDPP_KNOB(config.eval.backend),
+                            "sigma-evaluation backend (see `imdpp backends`)"};
+constexpr Knob kThreadsKnob{
+    "num_threads", "threads", IMDPP_KNOB(config.num_threads),
+    "Monte-Carlo executors, -1 = hardware, 0 = serial", kThreadCount};
+
+/// The knob table. Its first kNumCoordinates rows are the problem
+/// coordinates: flags, sweep axes and dataset entries set them, a planner
+/// config object does not. The rest are api::PlannerConfig keys, as paths
+/// inside a planner config object.
+constexpr size_t kNumCoordinates = 4;
+constexpr Knob kKnobs[] = {
+    kBudgetKnob,
+    kPromotionsKnob,
+    {"dataset.scale", "scale", IMDPP_KNOB(dataset.scale),
+     "dataset size multiplier (default 1, or @SCALE)", kPositive},
+    {"dataset.seed", "dataset-seed", IMDPP_KNOB(dataset.seed),
+     "dataset RNG seed (0 = the flavor's default)"},
+    {"selection_samples", "selection-samples",
+     IMDPP_KNOB(config.selection_samples), "search-time Monte-Carlo samples",
+     AtLeast(1)},
+    {"eval_samples", "eval-samples", IMDPP_KNOB(config.eval_samples),
+     "final-evaluation Monte-Carlo samples", AtLeast(1)},
+    {"seed", "seed", IMDPP_KNOB(config.seed), "master RNG seed"},
+    kThreadsKnob,
+    {"deadline_ms", "deadline-ms", IMDPP_KNOB(config.deadline_ms),
+     "per-run wall-clock budget in ms, 0 = none", AtLeast(0)},
+    {"prep.cache", nullptr, IMDPP_KNOB(config.prep.cache),
+     "reuse the session's prep artifacts across runs"},
+    {"prep.build_threads", nullptr, IMDPP_KNOB(config.prep.build_threads),
+     "prep build executors, <= 1 = inline", kThreadCount},
+    kBackendKnob,
+    {"eval.fallback_backend", nullptr,
+     IMDPP_KNOB(config.eval.fallback_backend),
+     "backend a failing primary degrades to, \"\" = none", {}, ""},
+    {"eval.ris_sketches", nullptr, IMDPP_KNOB(config.eval.ris_sketches),
+     "RIS sketch count for the ris backend", AtLeast(1)},
+    {"eval.adaptive.enabled", "adaptive",
+     IMDPP_KNOB(config.eval.adaptive.enabled),
+     "variance-adaptive racing in greedy argmax loops"},
+    {"eval.adaptive.delta", "adaptive-delta",
+     IMDPP_KNOB(config.eval.adaptive.delta), "racing error budget delta",
+     kUnitOpen},
+    {"eval.adaptive.block_samples", nullptr,
+     IMDPP_KNOB(config.eval.adaptive.block_samples),
+     "samples per racing block", AtLeast(1)},
+    {"eval.adaptive.min_samples", nullptr,
+     IMDPP_KNOB(config.eval.adaptive.min_samples),
+     "samples before the first elimination test", AtLeast(1)},
+    {"eval.adaptive.max_samples", "adaptive-budget",
+     IMDPP_KNOB(config.eval.adaptive.max_samples),
+     "racing sample budget per candidate, 0 = none", AtLeast(0)},
+    {"candidates.max_users", nullptr, IMDPP_KNOB(config.candidates.max_users),
+     "candidate users kept, 0 = all"},
+    {"candidates.max_items", nullptr, IMDPP_KNOB(config.candidates.max_items),
+     "candidate items kept, 0 = all"},
+    {"campaign.model", nullptr, IMDPP_KNOB(config.campaign.model),
+     "diffusion model", {}, "ic, lt"},
+    {"campaign.max_steps", nullptr, IMDPP_KNOB(config.campaign.max_steps),
+     "step cap within one promotion"},
+    {"clustering.social_weight", nullptr,
+     IMDPP_KNOB(config.clustering.social_weight),
+     "weight of the social hop distance"},
+    {"clustering.relevance_weight", nullptr,
+     IMDPP_KNOB(config.clustering.relevance_weight),
+     "weight of the net item relevance"},
+    {"clustering.merge_threshold", nullptr,
+     IMDPP_KNOB(config.clustering.merge_threshold),
+     "average-linkage merge threshold"},
+    {"clustering.max_hops", nullptr, IMDPP_KNOB(config.clustering.max_hops),
+     "hop search truncation"},
+    {"market.mioa_threshold", nullptr,
+     IMDPP_KNOB(config.market.mioa_threshold), "MIOA path threshold",
+     kUnitHalfOpen},
+    {"market.mioa_max_hops", nullptr, IMDPP_KNOB(config.market.mioa_max_hops),
+     "MIOA hop cap"},
+    kThetaKnob,
+    {"dysim.order", nullptr, IMDPP_KNOB(config.dysim.order),
+     "market order metric", {}, "ae, pf, sz, rms, rd"},
+    {"dysim.dr_max_depth", nullptr, IMDPP_KNOB(config.dysim.dr_max_depth),
+     "dynamic-reachability search depth", AtLeast(0)},
+    {"dysim.use_target_markets", nullptr,
+     IMDPP_KNOB(config.dysim.use_target_markets),
+     "target markets (Fig. 10 w/o TM when false)"},
+    {"dysim.use_item_priority", nullptr,
+     IMDPP_KNOB(config.dysim.use_item_priority),
+     "item priority (Fig. 10 w/o IP when false)"},
+    {"dysim.use_theorem5_guard", nullptr,
+     IMDPP_KNOB(config.dysim.use_theorem5_guard), "Theorem 5 guard"},
+    {"adaptive.antagonism_threshold", nullptr,
+     IMDPP_KNOB(config.adaptive.antagonism_threshold),
+     "net substitutable relevance that counts as antagonistic"},
+    {"ps.path_threshold", nullptr, IMDPP_KNOB(config.ps.path_threshold),
+     "PS path probability threshold", kUnitHalfOpen},
+    {"ps.max_hops", nullptr, IMDPP_KNOB(config.ps.max_hops), "PS hop cap"},
+    {"ps.covered_discount", nullptr, IMDPP_KNOB(config.ps.covered_discount),
+     "PS discount for covered users"},
+    {"opt.max_candidates", nullptr, IMDPP_KNOB(config.opt.max_candidates),
+     "OPT singletons kept, 0 = all"},
+    {"opt.max_seeds", nullptr, IMDPP_KNOB(config.opt.max_seeds),
+     "OPT seed-group size cap, 0 = unbounded"},
+};
+
+#undef IMDPP_KNOB
+
+constexpr std::span<const Knob> kCoordinateKnobs =
+    std::span(kKnobs).first(kNumCoordinates);
+constexpr std::span<const Knob> kPlannerKnobs =
+    std::span(kKnobs).subspan(kNumCoordinates);
+
+// ------------------------------------------------------- one reader per kind
+// Each reads a JSON value (a flag's text is converted first) and writes
+// *out only on success; `where` names the path or flag in the error.
+
+util::Status Read(const Knob& row, const util::Json& v,
+                  const std::string& where, double* out) {
+  if (!v.is_number() || !std::isfinite(v.AsDouble())) {
+    return util::InvalidArgumentError(where + " must be a number");
+  }
+  if (!row.range.Contains(v.AsDouble())) {
+    return util::InvalidArgumentError(where + " must be " + row.range.Text());
   }
   *out = v.AsDouble();
-  return true;
+  return util::OkStatus();
 }
 
-bool ReadBool(const util::Json& v, const std::string& where, bool* out,
-              std::string* error) {
-  if (!v.is_bool()) {
-    *error = where + " must be a bool";
-    return false;
+/// Integral and in range as a double, so the cast below is always defined.
+template <typename Int>
+  requires std::is_same_v<Int, int> || std::is_same_v<Int, int64_t>
+util::Status Read(const Knob& row, const util::Json& v,
+                  const std::string& where, Int* out) {
+  if (!v.is_number() || v.AsDouble() != std::floor(v.AsDouble())) {
+    return util::InvalidArgumentError(where + " must be an integer");
   }
-  *out = v.AsBool();
-  return true;
+  double value = 0.0;
+  IMDPP_RETURN_IF_ERROR(Read(row, v, where, &value));
+  // -min is 2^31 (2^63), exact in a double.
+  constexpr double kLimit = -static_cast<double>(std::numeric_limits<Int>::min());
+  if (value < -kLimit || value >= kLimit) {
+    return util::InvalidArgumentError(
+        where + " does not fit a " + std::to_string(sizeof(Int) * 8) +
+        "-bit integer");
+  }
+  *out = static_cast<Int>(value);
+  return util::OkStatus();
 }
 
-/// Seeds may exceed JSON's exact double range, so strings of digits are
-/// accepted alongside numbers.
-bool ReadSeed(const util::Json& v, const std::string& where, uint64_t* out,
-              std::string* error) {
+util::Status Read(const Knob&, const util::Json& v, const std::string& where,
+                  bool* out) {
+  if (!v.is_bool()) return util::InvalidArgumentError(where + " must be a bool");
+  *out = v.AsBool();
+  return util::OkStatus();
+}
+
+/// Seeds may exceed JSON's exact double range, so digit strings (decimal
+/// or 0x hex) are accepted alongside numbers; a sign or an overflow fails.
+util::Status Read(const Knob&, const util::Json& v, const std::string& where,
+                  uint64_t* out) {
+  const util::Status bad = util::InvalidArgumentError(
+      where + " must be an unsigned 64-bit integer or digit string");
   if (v.is_number()) {
     const double d = v.AsDouble();
-    if (d < 0.0 || d != std::floor(d)) {  // negative → UB cast; reject
-      *error = where + " must be a non-negative integer or a digit string";
-      return false;
+    if (d < 0.0 || d != std::floor(d) || d >= 18446744073709551616.0) {
+      return bad;
     }
     *out = static_cast<uint64_t>(d);
-    return true;
+    return util::OkStatus();
   }
-  if (v.is_string()) {
-    char* end = nullptr;
-    *out = std::strtoull(v.AsString().c_str(), &end, 0);
-    if (end != nullptr && *end == '\0' && !v.AsString().empty()) return true;
+  if (!v.is_string() || v.AsString().empty() ||
+      !std::isdigit(static_cast<unsigned char>(v.AsString().front()))) {
+    return bad;
   }
-  *error = where + " must be a number or a digit string";
-  return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long parsed =
+      std::strtoull(v.AsString().c_str(), &end, 0);
+  if (*end != '\0' || errno == ERANGE) return bad;
+  *out = parsed;
+  return util::OkStatus();
 }
 
-bool ApplyCandidates(const util::Json& obj, core::CandidateConfig* cfg,
-                     std::string* error) {
-  for (const auto& [key, v] : obj.members()) {
-    if (key == "max_users") {
-      if (!ReadInt(v, "candidates.max_users", &cfg->max_users, error))
-        return false;
-    } else if (key == "max_items") {
-      if (!ReadInt(v, "candidates.max_items", &cfg->max_items, error))
-        return false;
-    } else {
-      *error = "unknown candidates key \"" + key + "\"";
-      return false;
-    }
+/// Validated against the registry here so a typo'd backend fails at load
+/// time, naming the registered keys.
+util::Status Read(const Knob& row, const util::Json& v,
+                  const std::string& where, std::string* out) {
+  if (!v.is_string()) {
+    return util::InvalidArgumentError(where + " must be a string");
   }
-  return true;
+  const std::string& name = v.AsString();
+  const bool extra = row.choices != nullptr && name == row.choices;
+  if (!extra && !diffusion::SigmaBackendRegistry::Has(name)) {
+    return util::InvalidArgumentError(
+        where + ": " + diffusion::SigmaBackendRegistry::UnknownMessage(name));
+  }
+  *out = name;
+  return util::OkStatus();
 }
 
-bool ApplyCampaign(const util::Json& obj, diffusion::CampaignConfig* cfg,
-                   std::string* error) {
-  for (const auto& [key, v] : obj.members()) {
-    if (key == "model") {
-      if (!v.is_string()) {
-        *error = "campaign.model must be a string";
-        return false;
-      }
-      const std::string& m = v.AsString();
-      if (m == "ic") {
-        cfg->model = diffusion::DiffusionModel::kIndependentCascade;
-      } else if (m == "lt") {
-        cfg->model = diffusion::DiffusionModel::kLinearThreshold;
-      } else {
-        *error = "unknown campaign.model \"" + m + "\" (expected ic, lt)";
-        return false;
-      }
-    } else if (key == "max_steps") {
-      if (!ReadInt(v, "campaign.max_steps", &cfg->max_steps, error))
-        return false;
-    } else {
-      *error = "unknown campaign key \"" + key + "\"";
-      return false;
-    }
+template <typename Enum>
+  requires std::is_enum_v<Enum>
+util::Status Read(const Knob& row, const util::Json& v,
+                  const std::string& where, Enum* out) {
+  if (!v.is_string()) {
+    return util::InvalidArgumentError(where + " must be a string");
   }
-  return true;
+  std::string_view names = row.choices;
+  for (int i = 0; !names.empty(); ++i) {
+    const size_t comma = names.find(", ");
+    if (names.substr(0, comma) == v.AsString()) {
+      *out = static_cast<Enum>(i);
+      return util::OkStatus();
+    }
+    names = comma == std::string_view::npos ? "" : names.substr(comma + 2);
+  }
+  return util::InvalidArgumentError("unknown " + where + " \"" +
+                                    v.AsString() + "\" (expected " +
+                                    row.choices + ")");
 }
 
-bool ApplyClustering(const util::Json& obj, cluster::ClusteringConfig* cfg,
-                     std::string* error) {
-  for (const auto& [key, v] : obj.members()) {
-    if (key == "social_weight") {
-      if (!ReadDouble(v, "clustering.social_weight", &cfg->social_weight,
-                      error))
-        return false;
-    } else if (key == "relevance_weight") {
-      if (!ReadDouble(v, "clustering.relevance_weight",
-                      &cfg->relevance_weight, error))
-        return false;
-    } else if (key == "merge_threshold") {
-      if (!ReadDouble(v, "clustering.merge_threshold", &cfg->merge_threshold,
-                      error))
-        return false;
-    } else if (key == "max_hops") {
-      if (!ReadInt(v, "clustering.max_hops", &cfg->max_hops, error))
-        return false;
-    } else {
-      *error = "unknown clustering key \"" + key + "\"";
-      return false;
-    }
-  }
-  return true;
+/// The type of the member a row's field points at.
+template <typename F>
+using FieldType =
+    std::remove_reference_t<std::invoke_result_t<F, Knobs&>>;
+
+/// A flag's text as the JSON value its kind reads: numbers and bools
+/// parse as JSON, names and seeds stay text (a seed above 2^53 must not
+/// round through a double).
+util::Status ApplyFlag(const Knob& row, const std::string& text,
+                       Knobs* knobs) {
+  return std::visit(
+      [&](auto field) {
+        using T = FieldType<decltype(field)>;
+        util::Json value(text);
+        if constexpr (std::is_arithmetic_v<T> &&
+                      !std::is_same_v<T, uint64_t>) {
+          util::Json parsed;
+          std::string ignored;
+          if (util::Json::Parse(text, &parsed, &ignored)) value = parsed;
+        }
+        return Read(row, value, std::string("--") + row.flag,
+                    &field(*knobs));
+      },
+      row.field);
 }
 
-bool ApplyMarket(const util::Json& obj, cluster::MarketPlanConfig* cfg,
-                 std::string* error) {
-  for (const auto& [key, v] : obj.members()) {
-    if (key == "mioa_threshold") {
-      if (!ReadDouble(v, "market.mioa_threshold", &cfg->mioa_threshold,
-                      error))
-        return false;
-    } else if (key == "mioa_max_hops") {
-      if (!ReadInt(v, "market.mioa_max_hops", &cfg->mioa_max_hops, error))
-        return false;
-    } else if (key == "overlap_theta") {
-      if (!ReadInt(v, "market.overlap_theta", &cfg->overlap_theta, error))
-        return false;
-    } else {
-      *error = "unknown market key \"" + key + "\"";
-      return false;
-    }
+/// Applies one member of a JSON object whose path so far is `prefix`: a
+/// row's value, or a section object walked recursively. `section` names
+/// the enclosing object in the unknown-key error.
+util::Status ApplyMember(std::span<const Knob> rows, const std::string& prefix,
+                         const std::string& key, const util::Json& v,
+                         const std::string& section, Knobs* knobs) {
+  const std::string path = prefix + key;
+  for (const Knob& row : rows) {
+    if (path != row.path) continue;
+    return std::visit(
+        [&](auto field) { return Read(row, v, path, &field(*knobs)); },
+        row.field);
   }
-  return true;
+  for (const Knob& row : rows) {
+    if (!std::string_view(row.path).starts_with(path + ".")) continue;
+    if (!v.is_object()) {
+      return util::InvalidArgumentError(path + " must be an object");
+    }
+    for (const auto& [sub, sv] : v.members()) {
+      IMDPP_RETURN_IF_ERROR(
+          ApplyMember(rows, path + ".", sub, sv, path, knobs));
+    }
+    return util::OkStatus();
+  }
+  return util::InvalidArgumentError("unknown " + section + " key \"" + key +
+                                    "\"");
 }
 
-bool ApplyDysim(const util::Json& obj,
-                api::PlannerConfig::DysimOptions* cfg, std::string* error) {
-  for (const auto& [key, v] : obj.members()) {
-    if (key == "order") {
-      if (!v.is_string()) {
-        *error = "dysim.order must be a string";
-        return false;
-      }
-      const std::string& o = v.AsString();
-      if (o == "ae") {
-        cfg->order = core::MarketOrderMetric::kAntagonisticExtent;
-      } else if (o == "pf") {
-        cfg->order = core::MarketOrderMetric::kProfitability;
-      } else if (o == "sz") {
-        cfg->order = core::MarketOrderMetric::kSize;
-      } else if (o == "rms") {
-        cfg->order = core::MarketOrderMetric::kRelativeMarketShare;
-      } else if (o == "rd") {
-        cfg->order = core::MarketOrderMetric::kRandom;
-      } else {
-        *error = "unknown dysim.order \"" + o +
-                 "\" (expected ae, pf, sz, rms, rd)";
-        return false;
-      }
-    } else if (key == "dr_max_depth") {
-      if (!ReadInt(v, "dysim.dr_max_depth", &cfg->dr_max_depth, error))
-        return false;
-    } else if (key == "use_target_markets") {
-      if (!ReadBool(v, "dysim.use_target_markets", &cfg->use_target_markets,
-                    error))
-        return false;
-    } else if (key == "use_item_priority") {
-      if (!ReadBool(v, "dysim.use_item_priority", &cfg->use_item_priority,
-                    error))
-        return false;
-    } else if (key == "use_theorem5_guard") {
-      if (!ReadBool(v, "dysim.use_theorem5_guard", &cfg->use_theorem5_guard,
-                    error))
-        return false;
-    } else {
-      *error = "unknown dysim key \"" + key + "\"";
-      return false;
-    }
+/// Reads every entry of a sweep axis with the range of the knob it sweeps.
+template <typename T>
+util::Status ReadAxis(const util::Json& array, const Knob& row,
+                      const std::string& where, std::vector<T>* out) {
+  for (const util::Json& entry : array.elements()) {
+    T value{};
+    IMDPP_RETURN_IF_ERROR(Read(row, entry, where, &value));
+    out->push_back(value);
   }
-  return true;
+  return util::OkStatus();
 }
 
 }  // namespace
@@ -226,299 +389,26 @@ util::Status LoadJsonFile(const std::string& path, util::Json* out) {
   return util::OkStatus();
 }
 
-namespace {
-
-/// The bool + error-string core the recursive parsers below share; the
-/// public surface wraps it into util::Status (kInvalidArgument).
-bool ApplyPlannerConfigJsonImpl(const util::Json& obj, api::PlannerConfig* cfg,
-                                std::string* error) {
-  if (obj.is_null()) return true;  // no overrides
-  if (!obj.is_object()) {
-    *error = "planner config must be a JSON object";
-    return false;
-  }
-  for (const auto& [key, v] : obj.members()) {
-    if (key == "selection_samples") {
-      if (!ReadInt(v, "selection_samples", &cfg->selection_samples, error))
-        return false;
-    } else if (key == "eval_samples") {
-      if (!ReadInt(v, "eval_samples", &cfg->eval_samples, error))
-        return false;
-    } else if (key == "seed") {
-      if (!ReadSeed(v, "seed", &cfg->seed, error)) return false;
-    } else if (key == "num_threads") {
-      if (!ReadInt(v, "num_threads", &cfg->num_threads, error)) return false;
-    } else if (key == "deadline_ms") {
-      int deadline = static_cast<int>(cfg->deadline_ms);
-      if (!ReadInt(v, "deadline_ms", &deadline, error)) return false;
-      if (deadline < 0) {
-        *error = "deadline_ms must be >= 0";
-        return false;
-      }
-      cfg->deadline_ms = deadline;
-    } else if (key == "prep") {
-      if (!v.is_object()) {
-        *error = "prep must be an object";
-        return false;
-      }
-      for (const auto& [pkey, pv] : v.members()) {
-        if (pkey == "cache") {
-          if (!ReadBool(pv, "prep.cache", &cfg->prep.cache, error))
-            return false;
-        } else if (pkey == "build_threads") {
-          if (!ReadInt(pv, "prep.build_threads", &cfg->prep.build_threads,
-                       error))
-            return false;
-        } else {
-          *error = "unknown prep key \"" + pkey + "\"";
-          return false;
-        }
-      }
-    } else if (key == "eval") {
-      if (!v.is_object()) {
-        *error = "eval must be an object";
-        return false;
-      }
-      for (const auto& [ekey, ev] : v.members()) {
-        if (ekey == "backend") {
-          if (!ev.is_string()) {
-            *error = "eval.backend must be a string";
-            return false;
-          }
-          // Validated against the registry here so a typo'd backend fails
-          // at config-load time, naming the registered keys.
-          if (!diffusion::SigmaBackendRegistry::Has(ev.AsString())) {
-            *error = diffusion::SigmaBackendRegistry::UnknownMessage(
-                ev.AsString());
-            return false;
-          }
-          cfg->eval.backend = ev.AsString();
-        } else if (ekey == "fallback_backend") {
-          if (!ev.is_string()) {
-            *error = "eval.fallback_backend must be a string";
-            return false;
-          }
-          // "" disables degradation; anything else must be a registered
-          // backend, checked now for the same fail-at-load reason.
-          if (!ev.AsString().empty() &&
-              !diffusion::SigmaBackendRegistry::Has(ev.AsString())) {
-            *error = diffusion::SigmaBackendRegistry::UnknownMessage(
-                ev.AsString());
-            return false;
-          }
-          cfg->eval.fallback_backend = ev.AsString();
-        } else if (ekey == "ris_sketches") {
-          if (!ReadInt(ev, "eval.ris_sketches", &cfg->eval.ris_sketches,
-                       error))
-            return false;
-        } else if (ekey == "adaptive") {
-          if (!ev.is_object()) {
-            *error = "eval.adaptive must be an object";
-            return false;
-          }
-          for (const auto& [akey, av] : ev.members()) {
-            if (akey == "enabled") {
-              if (!ReadBool(av, "eval.adaptive.enabled",
-                            &cfg->eval.adaptive.enabled, error))
-                return false;
-            } else if (akey == "delta") {
-              if (!ReadDouble(av, "eval.adaptive.delta",
-                              &cfg->eval.adaptive.delta, error))
-                return false;
-              if (cfg->eval.adaptive.delta <= 0.0 ||
-                  cfg->eval.adaptive.delta >= 1.0) {
-                *error = "eval.adaptive.delta must be in (0, 1)";
-                return false;
-              }
-            } else if (akey == "block_samples") {
-              if (!ReadInt(av, "eval.adaptive.block_samples",
-                           &cfg->eval.adaptive.block_samples, error))
-                return false;
-              if (cfg->eval.adaptive.block_samples < 1) {
-                *error = "eval.adaptive.block_samples must be >= 1";
-                return false;
-              }
-            } else if (akey == "min_samples") {
-              if (!ReadInt(av, "eval.adaptive.min_samples",
-                           &cfg->eval.adaptive.min_samples, error))
-                return false;
-              if (cfg->eval.adaptive.min_samples < 1) {
-                *error = "eval.adaptive.min_samples must be >= 1";
-                return false;
-              }
-            } else if (akey == "max_samples") {
-              if (!ReadInt(av, "eval.adaptive.max_samples",
-                           &cfg->eval.adaptive.max_samples, error))
-                return false;
-              if (cfg->eval.adaptive.max_samples < 0) {
-                *error = "eval.adaptive.max_samples must be >= 0";
-                return false;
-              }
-            } else {
-              *error = "unknown eval.adaptive key \"" + akey + "\"";
-              return false;
-            }
-          }
-        } else {
-          *error = "unknown eval key \"" + ekey + "\"";
-          return false;
-        }
-      }
-    } else if (key == "candidates") {
-      if (!v.is_object()) {
-        *error = "candidates must be an object";
-        return false;
-      }
-      if (!ApplyCandidates(v, &cfg->candidates, error)) return false;
-    } else if (key == "campaign") {
-      if (!v.is_object()) {
-        *error = "campaign must be an object";
-        return false;
-      }
-      if (!ApplyCampaign(v, &cfg->campaign, error)) return false;
-    } else if (key == "clustering") {
-      if (!v.is_object()) {
-        *error = "clustering must be an object";
-        return false;
-      }
-      if (!ApplyClustering(v, &cfg->clustering, error)) return false;
-    } else if (key == "market") {
-      if (!v.is_object()) {
-        *error = "market must be an object";
-        return false;
-      }
-      if (!ApplyMarket(v, &cfg->market, error)) return false;
-    } else if (key == "dysim") {
-      if (!v.is_object()) {
-        *error = "dysim must be an object";
-        return false;
-      }
-      if (!ApplyDysim(v, &cfg->dysim, error)) return false;
-    } else if (key == "adaptive") {
-      if (!v.is_object()) {
-        *error = "adaptive must be an object";
-        return false;
-      }
-      for (const auto& [akey, av] : v.members()) {
-        if (akey == "antagonism_threshold") {
-          if (!ReadDouble(av, "adaptive.antagonism_threshold",
-                          &cfg->adaptive.antagonism_threshold, error))
-            return false;
-        } else {
-          *error = "unknown adaptive key \"" + akey + "\"";
-          return false;
-        }
-      }
-    } else if (key == "ps") {
-      if (!v.is_object()) {
-        *error = "ps must be an object";
-        return false;
-      }
-      for (const auto& [pkey, pv] : v.members()) {
-        if (pkey == "path_threshold") {
-          if (!ReadDouble(pv, "ps.path_threshold", &cfg->ps.path_threshold,
-                          error))
-            return false;
-        } else if (pkey == "max_hops") {
-          if (!ReadInt(pv, "ps.max_hops", &cfg->ps.max_hops, error))
-            return false;
-        } else if (pkey == "covered_discount") {
-          if (!ReadDouble(pv, "ps.covered_discount",
-                          &cfg->ps.covered_discount, error))
-            return false;
-        } else {
-          *error = "unknown ps key \"" + pkey + "\"";
-          return false;
-        }
-      }
-    } else if (key == "opt") {
-      if (!v.is_object()) {
-        *error = "opt must be an object";
-        return false;
-      }
-      for (const auto& [okey, ov] : v.members()) {
-        if (okey == "max_candidates") {
-          if (!ReadInt(ov, "opt.max_candidates", &cfg->opt.max_candidates,
-                       error))
-            return false;
-        } else if (okey == "max_seeds") {
-          if (!ReadInt(ov, "opt.max_seeds", &cfg->opt.max_seeds, error))
-            return false;
-        } else {
-          *error = "unknown opt key \"" + okey + "\"";
-          return false;
-        }
-      }
-    } else {
-      *error = "unknown planner config key \"" + key + "\"";
-      return false;
-    }
-  }
-  return true;
-}
-
-bool DatasetSpecFromJsonImpl(const util::Json& value, data::DatasetSpec* spec,
-                             util::Json* config_overrides,
-                             std::string* error) {
-  *config_overrides = util::Json();
-  if (value.is_string()) {
-    *spec = data::ParseDatasetSpec(value.AsString());
-    return true;
-  }
-  if (!value.is_object()) {
-    *error = "dataset entry must be a string or an object";
-    return false;
-  }
-  const util::Json* name = value.Find("name");
-  if (name == nullptr || !name->is_string()) {
-    *error = "dataset entry needs a string \"name\"";
-    return false;
-  }
-  *spec = data::ParseDatasetSpec(name->AsString());
-  for (const auto& [key, v] : value.members()) {
-    if (key == "name") continue;
-    if (key == "scale") {
-      if (!ReadDouble(v, "dataset.scale", &spec->scale, error)) return false;
-    } else if (key == "seed") {
-      if (!ReadSeed(v, "dataset.seed", &spec->seed, error)) return false;
-    } else if (key == "config") {
-      *config_overrides = v;
-    } else {
-      *error = "unknown dataset entry key \"" + key + "\"";
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 util::Status ApplyPlannerConfigJson(const util::Json& obj,
                                     api::PlannerConfig* cfg) {
-  std::string error;
-  if (!ApplyPlannerConfigJsonImpl(obj, cfg, &error)) {
-    return util::InvalidArgumentError(std::move(error));
+  if (obj.is_null()) return util::OkStatus();  // no overrides
+  if (!obj.is_object()) {
+    return util::InvalidArgumentError("planner config must be a JSON object");
   }
+  Knobs knobs;
+  knobs.config = *cfg;  // *cfg stays untouched on an error
+  for (const auto& [key, v] : obj.members()) {
+    IMDPP_RETURN_IF_ERROR(
+        ApplyMember(kPlannerKnobs, "", key, v, "planner config", &knobs));
+  }
+  *cfg = std::move(knobs.config);
   return util::OkStatus();
 }
-
-util::Status DatasetSpecFromJson(const util::Json& value,
-                                 data::DatasetSpec* spec,
-                                 util::Json* config_overrides) {
-  std::string error;
-  if (!DatasetSpecFromJsonImpl(value, spec, config_overrides, &error)) {
-    return util::InvalidArgumentError(std::move(error));
-  }
-  return util::OkStatus();
-}
-
-// -------------------------------------------------------------- sweeps
 
 namespace {
 
-bool ParsePlannerAxes(const util::Json& array,
-                      std::vector<SweepSpec::PlannerAxis>* out,
-                      std::string* error) {
+util::Status ParsePlannerAxes(const util::Json& array,
+                              std::vector<SweepSpec::PlannerAxis>* out) {
   for (const util::Json& entry : array.elements()) {
     SweepSpec::PlannerAxis axis;
     if (entry.is_string()) {
@@ -526,131 +416,190 @@ bool ParsePlannerAxes(const util::Json& array,
     } else if (entry.is_object()) {
       const util::Json* name = entry.Find("planner");
       if (name == nullptr || !name->is_string()) {
-        *error = "planner entry needs a string \"planner\"";
-        return false;
+        return util::InvalidArgumentError(
+            "planner entry needs a string \"planner\"");
       }
       axis.name = name->AsString();
       if (const util::Json* o = entry.Find("config")) axis.overrides = *o;
     } else {
-      *error = "planner entry must be a string or an object";
-      return false;
+      return util::InvalidArgumentError(
+          "planner entry must be a string or an object");
     }
     out->push_back(std::move(axis));
   }
-  return true;
+  return util::OkStatus();
 }
 
-bool ParseDatasetAxis(const util::Json& entry, SweepSpec::DatasetAxis* axis,
-                      std::string* error) {
-  // A dataset entry may carry its own "planners" array; strip it before
-  // handing the rest to the plain dataset-spec parser.
-  util::Json without_planners = entry;
-  if (entry.is_object()) {
-    if (const util::Json* planners = entry.Find("planners")) {
-      if (!ParsePlannerAxes(*planners, &axis->planners, error)) return false;
-      without_planners = util::Json::Object();
-      for (const auto& [key, v] : entry.members()) {
-        if (key != "planners") without_planners.Set(key, v);
-      }
+/// A dataset entry; a non-null `planners` also accepts the per-dataset
+/// "planners" array of a sweep config.
+util::Status ReadDatasetEntry(const util::Json& value, data::DatasetSpec* spec,
+                              util::Json* config_overrides,
+                              std::vector<SweepSpec::PlannerAxis>* planners) {
+  *config_overrides = util::Json();
+  if (value.is_string()) {
+    *spec = data::ParseDatasetSpec(value.AsString());
+    return util::OkStatus();
+  }
+  if (!value.is_object()) {
+    return util::InvalidArgumentError(
+        "dataset entry must be a string or an object");
+  }
+  const util::Json* name = value.Find("name");
+  if (name == nullptr || !name->is_string()) {
+    return util::InvalidArgumentError("dataset entry needs a string \"name\"");
+  }
+  Knobs knobs;
+  knobs.dataset = data::ParseDatasetSpec(name->AsString());
+  for (const auto& [key, v] : value.members()) {
+    if (key == "name") continue;
+    if (key == "config") {
+      *config_overrides = v;
+    } else if (key == "planners" && planners != nullptr) {
+      IMDPP_RETURN_IF_ERROR(ParsePlannerAxes(v, planners));
+    } else {
+      IMDPP_RETURN_IF_ERROR(ApplyMember(kCoordinateKnobs, "dataset.", key, v,
+                                        "dataset entry", &knobs));
     }
   }
-  return DatasetSpecFromJsonImpl(without_planners, &axis->spec,
-                                 &axis->overrides, error);
+  *spec = knobs.dataset;
+  return util::OkStatus();
 }
 
-bool LoadSweepSpecImpl(const util::Json& obj, SweepSpec* spec,
-                       std::string* error) {
+}  // namespace
+
+util::Status DatasetSpecFromJson(const util::Json& value,
+                                 data::DatasetSpec* spec,
+                                 util::Json* config_overrides) {
+  return ReadDatasetEntry(value, spec, config_overrides, nullptr);
+}
+
+util::Status ApplyKnobFlags(const ParsedArgs& args, Knobs* knobs) {
+  for (const Knob& row : kKnobs) {
+    if (row.flag == nullptr) continue;
+    if (const std::string* text = args.Find(row.flag)) {
+      IMDPP_RETURN_IF_ERROR(ApplyFlag(row, *text, knobs));
+    }
+  }
+  return util::OkStatus();
+}
+
+util::Status CheckFlagsDeclared(const ParsedArgs& args,
+                                std::span<const std::string_view>
+                                    command_flags) {
+  for (const auto& [name, value] : args.flags) {
+    bool declared = std::find(command_flags.begin(), command_flags.end(),
+                              name) != command_flags.end();
+    for (const Knob& row : kKnobs) {
+      declared = declared || (row.flag != nullptr && name == row.flag);
+    }
+    if (!declared) {
+      return util::InvalidArgumentError("unknown flag \"--" + name +
+                                        "\" (see `imdpp help`)");
+    }
+  }
+  return util::OkStatus();
+}
+
+std::vector<KnobInfo> DescribeKnobs() {
+  std::vector<KnobInfo> out;
+  for (const Knob& row : kKnobs) {
+    KnobInfo info{row.path, row.flag ? std::string("--") + row.flag : "", "",
+                  row.range.Text(), row.help};
+    std::visit(
+        [&](auto field) {
+          using T = FieldType<decltype(field)>;
+          if constexpr (std::is_same_v<T, bool>) {
+            info.kind = "bool";
+            info.range = "";
+          } else if constexpr (std::is_same_v<T, uint64_t>) {
+            info.kind = "seed";
+            info.range = "[0, 2^64)";
+          } else if constexpr (std::is_same_v<T, std::string>) {
+            info.kind = "backend";
+            info.range = row.choices ? "registered or \"\"" : "registered";
+          } else if constexpr (std::is_enum_v<T>) {
+            info.kind = "choice";
+            info.range = row.choices;
+          } else {
+            info.kind = std::is_same_v<T, double> ? "double" : "int";
+          }
+        },
+        row.field);
+    out.push_back(std::move(info));
+  }
+  return out;
+}
+
+// -------------------------------------------------------------- sweeps
+
+util::Status LoadSweepSpec(const util::Json& obj, SweepSpec* spec) {
   if (!obj.is_object()) {
-    *error = "sweep config must be a JSON object";
-    return false;
+    return util::InvalidArgumentError("sweep config must be a JSON object");
   }
   *spec = SweepSpec{};
   for (const auto& [key, v] : obj.members()) {
     if (key == "name") {
       if (!v.is_string()) {
-        *error = "name must be a string";
-        return false;
+        return util::InvalidArgumentError("name must be a string");
       }
       spec->name = v.AsString();
     } else if (key == "datasets") {
       for (const util::Json& entry : v.elements()) {
         SweepSpec::DatasetAxis axis;
-        if (!ParseDatasetAxis(entry, &axis, error)) return false;
+        IMDPP_RETURN_IF_ERROR(ReadDatasetEntry(entry, &axis.spec,
+                                               &axis.overrides,
+                                               &axis.planners));
         spec->datasets.push_back(std::move(axis));
       }
     } else if (key == "planners") {
-      if (!ParsePlannerAxes(v, &spec->planners, error)) return false;
+      IMDPP_RETURN_IF_ERROR(ParsePlannerAxes(v, &spec->planners));
     } else if (key == "budgets") {
-      for (const util::Json& entry : v.elements()) {
-        double b = 0.0;
-        if (!ReadDouble(entry, "budgets[]", &b, error)) return false;
-        spec->budgets.push_back(b);
-      }
+      IMDPP_RETURN_IF_ERROR(
+          ReadAxis(v, kBudgetKnob, kBudgetKnob.path, &spec->budgets));
     } else if (key == "promotions") {
-      for (const util::Json& entry : v.elements()) {
-        int t = 0;
-        if (!ReadInt(entry, "promotions[]", &t, error)) return false;
-        spec->promotions.push_back(t);
-      }
+      IMDPP_RETURN_IF_ERROR(ReadAxis(v, kPromotionsKnob, kPromotionsKnob.path,
+                                     &spec->promotions));
     } else if (key == "thetas") {
-      for (const util::Json& entry : v.elements()) {
-        int t = 0;
-        if (!ReadInt(entry, "thetas[]", &t, error)) return false;
-        spec->thetas.push_back(t);
-      }
+      IMDPP_RETURN_IF_ERROR(ReadAxis(v, kThetaKnob, "thetas[]", &spec->thetas));
     } else if (key == "threads") {
-      for (const util::Json& entry : v.elements()) {
-        int t = 0;
-        if (!ReadInt(entry, "threads[]", &t, error)) return false;
-        spec->num_threads.push_back(t);
-      }
+      IMDPP_RETURN_IF_ERROR(
+          ReadAxis(v, kThreadsKnob, "threads[]", &spec->num_threads));
     } else if (key == "backends") {
-      for (const util::Json& entry : v.elements()) {
-        if (!entry.is_string()) {
-          *error = "backends[] must be strings";
-          return false;
-        }
-        if (!diffusion::SigmaBackendRegistry::Has(entry.AsString())) {
-          *error = diffusion::SigmaBackendRegistry::UnknownMessage(
-              entry.AsString());
-          return false;
-        }
-        spec->backends.push_back(entry.AsString());
-      }
+      IMDPP_RETURN_IF_ERROR(
+          ReadAxis(v, kBackendKnob, "backends[]", &spec->backends));
     } else if (key == "config") {
-      if (!ApplyPlannerConfigJsonImpl(v, &spec->base, error)) return false;
+      IMDPP_RETURN_IF_ERROR(ApplyPlannerConfigJson(v, &spec->base));
     } else {
-      *error = "unknown sweep config key \"" + key + "\"";
-      return false;
+      return util::InvalidArgumentError("unknown sweep config key \"" + key +
+                                        "\"");
     }
   }
   if (spec->datasets.empty()) {
-    *error = "sweep config needs a non-empty \"datasets\" array";
-    return false;
+    return util::InvalidArgumentError(
+        "sweep config needs a non-empty \"datasets\" array");
   }
   if (spec->planners.empty()) {
-    *error = "sweep config needs a non-empty \"planners\" array";
-    return false;
+    return util::InvalidArgumentError(
+        "sweep config needs a non-empty \"planners\" array");
   }
   if (spec->budgets.empty()) {
-    *error = "sweep config needs a non-empty \"budgets\" array";
-    return false;
+    return util::InvalidArgumentError(
+        "sweep config needs a non-empty \"budgets\" array");
   }
   if (spec->promotions.empty()) {
-    *error = "sweep config needs a non-empty \"promotions\" array";
-    return false;
+    return util::InvalidArgumentError(
+        "sweep config needs a non-empty \"promotions\" array");
   }
-  return true;
+  return util::OkStatus();
 }
 
-bool ExpandSweepImpl(const SweepSpec& spec, std::vector<SweepPoint>* points,
-                     std::string* error) {
+util::Status ExpandSweep(const SweepSpec& spec,
+                         std::vector<SweepPoint>* points) {
   points->clear();
   for (const SweepSpec::DatasetAxis& ds : spec.datasets) {
     api::PlannerConfig dataset_config = spec.base;
-    if (!ApplyPlannerConfigJsonImpl(ds.overrides, &dataset_config, error)) {
-      return false;
-    }
+    IMDPP_RETURN_IF_ERROR(ApplyPlannerConfigJson(ds.overrides,
+                                                 &dataset_config));
     for (int T : spec.promotions) {
       for (double b : spec.budgets) {
         // Singleton sentinel axes: one point at the config's own value.
@@ -679,10 +628,8 @@ bool ExpandSweepImpl(const SweepSpec& spec, std::vector<SweepPoint>* points,
                 point.theta = theta;
                 point.num_threads = nt;
                 point.config = dataset_config;
-                if (!ApplyPlannerConfigJsonImpl(pl.overrides, &point.config,
-                                                error)) {
-                  return false;
-                }
+                IMDPP_RETURN_IF_ERROR(
+                    ApplyPlannerConfigJson(pl.overrides, &point.config));
                 if (theta >= 0) point.config.market.overlap_theta = theta;
                 point.config.num_threads = nt;
                 if (!backend.empty()) point.config.eval.backend = backend;
@@ -696,25 +643,6 @@ bool ExpandSweepImpl(const SweepSpec& spec, std::vector<SweepPoint>* points,
       }
     }
   }
-  return true;
-}
-
-}  // namespace
-
-util::Status LoadSweepSpec(const util::Json& obj, SweepSpec* spec) {
-  std::string error;
-  if (!LoadSweepSpecImpl(obj, spec, &error)) {
-    return util::InvalidArgumentError(std::move(error));
-  }
-  return util::OkStatus();
-}
-
-util::Status ExpandSweep(const SweepSpec& spec,
-                         std::vector<SweepPoint>* points) {
-  std::string error;
-  if (!ExpandSweepImpl(spec, points, &error)) {
-    return util::InvalidArgumentError(std::move(error));
-  }
   return util::OkStatus();
 }
 
@@ -724,20 +652,19 @@ namespace {
 
 constexpr int kMaxFlagfileDepth = 8;
 
-bool ExpandTokens(const std::vector<std::string>& args, int depth,
-                  std::vector<std::string>* out, std::string* error) {
+util::Status ExpandTokens(const std::vector<std::string>& args, int depth,
+                          std::vector<std::string>* out) {
   if (depth > kMaxFlagfileDepth) {
-    *error = "flag files nested deeper than " +
-             std::to_string(kMaxFlagfileDepth) + " levels";
-    return false;
+    return util::InvalidArgumentError("flag files nested deeper than " +
+                                      std::to_string(kMaxFlagfileDepth) +
+                                      " levels");
   }
   for (size_t i = 0; i < args.size(); ++i) {
     std::string_view arg = args[i];
     std::string path;
     if (arg == "--flagfile") {
       if (i + 1 >= args.size()) {
-        *error = "--flagfile needs a file argument";
-        return false;
+        return util::InvalidArgumentError("--flagfile needs a file argument");
       }
       path = args[++i];
     } else if (arg.substr(0, 11) == "--flagfile=") {
@@ -748,8 +675,8 @@ bool ExpandTokens(const std::vector<std::string>& args, int depth,
     }
     std::ifstream in(path);
     if (!in) {
-      *error = "cannot open flag file \"" + path + "\"";
-      return false;
+      return util::InvalidArgumentError("cannot open flag file \"" + path +
+                                        "\"");
     }
     std::vector<std::string> file_tokens;
     std::string line;
@@ -760,9 +687,9 @@ bool ExpandTokens(const std::vector<std::string>& args, int depth,
       std::string token;
       while (words >> token) file_tokens.push_back(token);
     }
-    if (!ExpandTokens(file_tokens, depth + 1, out, error)) return false;
+    IMDPP_RETURN_IF_ERROR(ExpandTokens(file_tokens, depth + 1, out));
   }
-  return true;
+  return util::OkStatus();
 }
 
 }  // namespace
@@ -781,13 +708,17 @@ std::string ParsedArgs::GetOr(std::string_view key,
   return v != nullptr ? *v : std::string(fallback);
 }
 
-namespace {
-
-bool ParseArgsImpl(const std::vector<std::string>& args, ParsedArgs* out,
-                   std::string* error) {
+util::Status ParseArgs(const std::vector<std::string>& args, ParsedArgs* out) {
   *out = ParsedArgs{};
   std::vector<std::string> tokens;
-  if (!ExpandTokens(args, 0, &tokens, error)) return false;
+  IMDPP_RETURN_IF_ERROR(ExpandTokens(args, 0, &tokens));
+  // One spelling per flag, so an underscore alias and its hyphen form
+  // share a slot and the later one wins.
+  const auto add_flag = [out](std::string_view name, std::string value) {
+    std::string key(name);
+    std::replace(key.begin(), key.end(), '_', '-');
+    out->flags.emplace_back(std::move(key), std::move(value));
+  };
   for (size_t i = 0; i < tokens.size(); ++i) {
     std::string_view token = tokens[i];
     if (token.substr(0, 2) != "--") {
@@ -799,33 +730,19 @@ bool ParseArgsImpl(const std::vector<std::string>& args, ParsedArgs* out,
       continue;
     }
     std::string_view body = token.substr(2);
-    if (body.empty()) {
-      *error = "stray \"--\" argument";
-      return false;
-    }
+    if (body.empty()) return util::InvalidArgumentError("stray \"--\" argument");
     const size_t eq = body.find('=');
     if (eq != std::string_view::npos) {
-      out->flags.emplace_back(std::string(body.substr(0, eq)),
-                              std::string(body.substr(eq + 1)));
+      add_flag(body.substr(0, eq), std::string(body.substr(eq + 1)));
       continue;
     }
     // "--key value" unless the next token is itself a flag → bare switch.
     if (i + 1 < tokens.size() && tokens[i + 1].substr(0, 2) != "--") {
-      out->flags.emplace_back(std::string(body), tokens[i + 1]);
+      add_flag(body, tokens[i + 1]);
       ++i;
     } else {
-      out->flags.emplace_back(std::string(body), "true");
+      add_flag(body, "true");
     }
-  }
-  return true;
-}
-
-}  // namespace
-
-util::Status ParseArgs(const std::vector<std::string>& args, ParsedArgs* out) {
-  std::string error;
-  if (!ParseArgsImpl(args, out, &error)) {
-    return util::InvalidArgumentError(std::move(error));
   }
   return util::OkStatus();
 }

@@ -2,6 +2,11 @@
 // planner settings, dataset choices and whole sweep grids are data, not
 // recompiled C++.
 //
+// Every knob — a planner-config key, a problem coordinate, the CLI flag
+// that sets it, its kind and its valid range — is one row of the knob
+// table in config_loader.cc. JSON loading, flag parsing, range checks and
+// the knob lines of `imdpp help` all read that table.
+//
 // Three layers:
 //   * ApplyPlannerConfigJson — a JSON object of partial overrides applied
 //     onto an api::PlannerConfig (absent keys keep their values), covering
@@ -14,10 +19,12 @@
 //     cross-product of resolved SweepPoints.
 // Plus flag-file support: ParseArgs splices "--flagfile FILE" tokens
 // inline, and later flags override earlier ones — so command-line flags
-// after a flag-file take precedence over the file's contents.
+// after a flag-file take precedence over the file's contents. Flag names
+// are normalized `_` → `-`, so --deadline_ms is --deadline-ms.
 #ifndef IMDPP_CONFIG_CONFIG_LOADER_H_
 #define IMDPP_CONFIG_CONFIG_LOADER_H_
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -108,8 +115,9 @@ util::Status ExpandSweep(const SweepSpec& spec,
 /// "--key=value" flags ("--key" followed by another flag or end of args
 /// reads as "true"). "--flagfile FILE" splices the whitespace-separated
 /// tokens of FILE ('#' starts a comment) in place, recursively (depth
-/// capped). Flags keep their order; lookups take the LAST occurrence, so
-/// command-line flags given after a flag-file override it.
+/// capped). Flag names are stored with '_' replaced by '-'. Flags keep
+/// their order; lookups take the LAST occurrence, so command-line flags
+/// given after a flag-file override it.
 struct ParsedArgs {
   std::string command;
   std::vector<std::string> positional;
@@ -123,6 +131,40 @@ struct ParsedArgs {
 };
 
 util::Status ParseArgs(const std::vector<std::string>& args, ParsedArgs* out);
+
+/// Everything a knob can set: the planner config plus the problem
+/// coordinates that flags, sweep axes and dataset entries carry outside
+/// it. The coordinate defaults are the CLI's.
+struct Knobs {
+  data::DatasetSpec dataset;
+  api::PlannerConfig config;
+  double budget = 300.0;
+  int promotions = 10;
+};
+
+/// Applies every knob flag present in `args` (its last occurrence) onto
+/// *knobs. A malformed or out-of-range value is kInvalidArgument naming
+/// the flag.
+util::Status ApplyKnobFlags(const ParsedArgs& args, Knobs* knobs);
+
+/// kInvalidArgument naming the first flag in `args` that is neither a
+/// knob flag nor one of `command_flags` — a misspelled flag must not
+/// silently run the default.
+util::Status CheckFlagsDeclared(const ParsedArgs& args,
+                                std::span<const std::string_view>
+                                    command_flags);
+
+/// One knob-table row as text, for `imdpp help` and the README table.
+struct KnobInfo {
+  std::string path;   ///< dotted JSON path; "budgets[]" = a sweep axis
+  std::string flag;   ///< "--flag", or "" for a JSON-only knob
+  std::string kind;   ///< int, double, bool, seed, choice or backend
+  std::string range;  ///< accepted values, e.g. ">= 1" or "ic, lt"
+  std::string help;
+};
+
+/// Every row of the knob table, in table order.
+std::vector<KnobInfo> DescribeKnobs();
 
 }  // namespace imdpp::config
 

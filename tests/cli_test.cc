@@ -9,8 +9,10 @@
 
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/session.h"
@@ -436,7 +438,8 @@ TEST(Cli, AdaptiveFlagEnablesRacingAndValidatesDelta) {
       "2",           "--eval-samples", "8",   "--selection-samples", "8"};
   CliResult plain = RunCli(base);
   ASSERT_EQ(plain.code, 0) << plain.err;
-  const util::Json* fixed_result = ParseOrDie(plain.out).Find("result");
+  const util::Json plain_json = ParseOrDie(plain.out);  // owns *fixed_result
+  const util::Json* fixed_result = plain_json.Find("result");
   ASSERT_NE(fixed_result, nullptr);
   EXPECT_EQ(fixed_result->Find("blocks_run")->AsInt(), 0);
   EXPECT_EQ(fixed_result->Find("early_stops")->AsInt(), 0);
@@ -446,7 +449,8 @@ TEST(Cli, AdaptiveFlagEnablesRacingAndValidatesDelta) {
   adaptive.insert(adaptive.end(), {"--adaptive", "--adaptive-delta", "0.1"});
   CliResult raced = RunCli(adaptive);
   ASSERT_EQ(raced.code, 0) << raced.err;
-  const util::Json* result = ParseOrDie(raced.out).Find("result");
+  const util::Json raced_json = ParseOrDie(raced.out);  // owns *result
+  const util::Json* result = raced_json.Find("result");
   ASSERT_NE(result, nullptr);
   EXPECT_GT(result->Find("blocks_run")->AsInt(), 0);
   // And byte-determinism holds on the adaptive path too.
@@ -472,7 +476,8 @@ TEST(Cli, AdaptiveFlagEnablesRacingAndValidatesDelta) {
                   {"--adaptive", "--adaptive-budget", "4"});
   CliResult capped = RunCli(budgeted);
   ASSERT_EQ(capped.code, 0) << capped.err;
-  const util::Json* capped_result = ParseOrDie(capped.out).Find("result");
+  const util::Json capped_json = ParseOrDie(capped.out);  // owns *capped_result
+  const util::Json* capped_result = capped_json.Find("result");
   ASSERT_NE(capped_result, nullptr);
   EXPECT_GT(capped_result->Find("blocks_run")->AsInt(), 0);
   EXPECT_GE(capped_result->Find("samples_saved")->AsInt(),
@@ -561,6 +566,178 @@ TEST(Cli, MalformedSweepConfigReportsPosition) {
   EXPECT_NE(r.code, 0);
   EXPECT_NE(r.err.find(path), std::string::npos) << r.err;
   EXPECT_NE(r.err.find("1:"), std::string::npos) << r.err;  // line:col
+}
+
+// ------------------------------------------------------- the knob table
+
+/// Exit 2, and a first stderr line that is the JSON error naming `key`.
+void ExpectInvalidArgument(const CliResult& r, const std::string& key) {
+  EXPECT_EQ(r.code, 2) << key << "\n" << r.err;
+  util::Json error;
+  std::string parse_error;
+  ASSERT_TRUE(util::Json::Parse(FirstLine(r.err), &error, &parse_error))
+      << key << "\n" << r.err;
+  const util::Json* detail = error.Find("error");
+  ASSERT_NE(detail, nullptr) << r.err;
+  EXPECT_EQ(detail->Find("code_name")->AsString(), "invalid_argument")
+      << r.err;
+  EXPECT_NE(detail->Find("message")->AsString().find(key), std::string::npos)
+      << key << "\n" << r.err;
+}
+
+/// {"a": {"b": leaf}} for the path "a.b".
+util::Json Nested(const std::string& path, const util::Json& leaf) {
+  const size_t dot = path.find('.');
+  util::Json obj = util::Json::Object();
+  obj.Set(path.substr(0, dot), dot == std::string::npos
+                                   ? leaf
+                                   : Nested(path.substr(dot + 1), leaf));
+  return obj;
+}
+
+// Every knob-table row gets a value of the wrong kind or outside its range,
+// through cli::Run: a --config key for a planner knob, and the flag for a
+// knob that has one. Each exits 2 naming the key before any work starts
+// (the dataset does not exist, so a value wrongly accepted would exit 1
+// without running a plan — the thread cap is only ever tested this way).
+TEST(Cli, EveryKnobRejectsABadValueWithExitTwo) {
+  const std::vector<std::pair<std::string, std::string>> config_cases = {
+      {"selection_samples", "0"},
+      {"eval_samples", "-3"},
+      {"seed", "\"-1\""},
+      {"num_threads", "-2"},
+      {"deadline_ms", "-1"},
+      {"prep.cache", "\"yes\""},
+      {"prep.build_threads", "-7"},
+      {"eval.backend", "\"nope\""},
+      {"eval.fallback_backend", "\"nope\""},
+      {"eval.ris_sketches", "0"},
+      {"eval.adaptive.enabled", "1"},
+      {"eval.adaptive.delta", "1"},
+      {"eval.adaptive.block_samples", "0"},
+      {"eval.adaptive.min_samples", "0"},
+      {"eval.adaptive.max_samples", "-1"},
+      {"candidates.max_users", "3e9"},
+      {"candidates.max_items", "2.5"},
+      {"campaign.model", "\"sir\""},
+      {"campaign.max_steps", "\"many\""},
+      {"clustering.social_weight", "\"heavy\""},
+      {"clustering.relevance_weight", "true"},
+      {"clustering.merge_threshold", "null"},
+      {"clustering.max_hops", "-3e9"},
+      {"market.mioa_threshold", "0"},
+      {"market.mioa_max_hops", "0.5"},
+      {"market.overlap_theta", "-1"},
+      {"dysim.order", "\"zz\""},
+      {"dysim.dr_max_depth", "-1"},
+      {"dysim.use_target_markets", "\"no\""},
+      {"dysim.use_item_priority", "0"},
+      {"dysim.use_theorem5_guard", "[]"},
+      {"adaptive.antagonism_threshold", "\"hi\""},
+      {"ps.path_threshold", "1.5"},
+      {"ps.max_hops", "2.5"},
+      {"ps.covered_discount", "{}"},
+      {"opt.max_candidates", "1e10"},
+      {"opt.max_seeds", "1.5"},
+  };
+  const std::vector<std::pair<std::string, std::string>> flag_cases = {
+      {"--budget", "-5"},
+      {"--promotions", "0"},
+      {"--scale", "0"},
+      {"--dataset-seed", "-1"},
+      {"--selection-samples", "0"},
+      {"--eval-samples", "-3"},
+      {"--seed", "18446744073709551616"},
+      {"--threads", "100000"},
+      {"--deadline-ms", "-1"},
+      {"--backend", "nope"},
+      {"--adaptive", "maybe"},
+      {"--adaptive-delta", "1.5"},
+      {"--adaptive-budget", "-1"},
+      {"--theta", "-1"},
+  };
+  const std::vector<std::string> plan{"plan", "--dataset", "no-such-dataset"};
+  std::set<std::string> covered;
+  for (const auto& [path, bad] : config_cases) {
+    util::Json leaf;
+    std::string error;
+    ASSERT_TRUE(util::Json::Parse(bad, &leaf, &error)) << bad;
+    const std::string config_path = WriteTempFile(
+        "knob_" + path + ".json", Nested(path, leaf).Dump());
+    std::vector<std::string> args = plan;
+    args.insert(args.end(), {"--config", config_path});
+    ExpectInvalidArgument(RunCli(args), path);
+    covered.insert(path);
+  }
+  for (const auto& [flag, bad] : flag_cases) {
+    std::vector<std::string> args = plan;
+    args.insert(args.end(), {flag, bad});
+    ExpectInvalidArgument(RunCli(args), flag);
+    covered.insert(flag);
+  }
+  // Every row is covered: planner rows by key, flag rows by flag too.
+  const std::string help = RunCli({"help"}).out;
+  for (const config::KnobInfo& knob : config::DescribeKnobs()) {
+    const bool planner_key =
+        knob.path.find("[]") == std::string::npos &&
+        knob.path.rfind("dataset.", 0) != 0;
+    if (planner_key) {
+      EXPECT_TRUE(covered.count(knob.path)) << knob.path;
+    }
+    if (!knob.flag.empty()) {
+      EXPECT_TRUE(covered.count(knob.flag)) << knob.flag;
+      EXPECT_NE(help.find(knob.flag + " "), std::string::npos) << knob.flag;
+    }
+  }
+}
+
+// The re-probed abort and silent-accept cases from the knob-table work:
+// each used to exit 134 on a CHECK or run with a wrong value.
+TEST(Cli, BadKnobValuesExitTwoInsteadOfAborting) {
+  const std::vector<std::string> plan{"plan", "--dataset", "yelp-like@0.2"};
+  const std::vector<std::pair<std::string, std::string>> probes = {
+      {"--selection-samples", "0"}, {"--eval-samples", "-3"},
+      {"--promotions", "0"},        {"--budget", "-5"},
+      {"--theta", "-1"},            {"--threads", "-7"},
+      {"--promotions", "2.5"},      {"--backend", "nope"},
+  };
+  for (const auto& [flag, bad] : probes) {
+    std::vector<std::string> args = plan;
+    args.insert(args.end(), {flag, bad});
+    ExpectInvalidArgument(RunCli(args), flag);
+  }
+  std::vector<std::string> args = plan;
+  args.insert(args.end(),
+              {"--config", WriteTempFile("ris_zero.json", R"({"eval":
+                  {"backend": "ris", "ris_sketches": 0}})")});
+  ExpectInvalidArgument(RunCli(args), "eval.ris_sketches");
+  ExpectInvalidArgument(
+      RunCli({"sweep", "--quiet", "--config",
+              WriteTempFile("sweep_t0.json", R"({"datasets": ["fig1-toy"],
+                  "planners": ["dysim"], "budgets": [10],
+                  "promotions": [0]})")}),
+      "promotions[]");
+}
+
+// A flag no table row and no subcommand declares is an error, not a
+// silently ignored typo that runs the default budget.
+TEST(Cli, UnknownFlagsAreInvalidArgument) {
+  ExpectInvalidArgument(
+      RunCli({"plan", "--dataset", "yelp-like@0.2", "--budegt", "5"}),
+      "--budegt");
+  ExpectInvalidArgument(RunCli({"datasets", "--prepp"}), "--prepp");
+  ExpectInvalidArgument(RunCli({"help", "--verbose"}), "--verbose");
+}
+
+// The underscore spelling shares the hyphen flag's slot: the later one
+// wins, so a generous deadline given last leaves the output untouched.
+TEST(Cli, LaterHyphenFlagBeatsAnEarlierUnderscoreAlias) {
+  CliResult plain = RunCli({"plan", "--dataset", "yelp-like@0.2"});
+  ASSERT_EQ(plain.code, 0) << plain.err;
+  CliResult both = RunCli({"plan", "--dataset", "yelp-like@0.2",
+                           "--deadline_ms", "1", "--deadline-ms", "100000"});
+  ASSERT_EQ(both.code, 0) << both.err;
+  EXPECT_EQ(both.out, plain.out);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include "config/config_loader.h"
@@ -262,6 +263,56 @@ TEST(ConfigLoader, RejectsUnknownAndMistypedKnobs) {
       << bad.ToString();
 }
 
+// One seed reader behind every seed knob: a sign or a 65-bit digit string
+// is rejected through JSON exactly as through --seed, not wrapped.
+TEST(ConfigLoader, SeedKnobsRejectSignsAndOverflow) {
+  for (const char* text :
+       {R"({"seed": "-1"})", R"({"seed": "18446744073709551616"})",
+        R"({"seed": -1})", R"({"seed": " 5"})", R"({"seed": ""})"}) {
+    util::Json obj;
+    std::string error;
+    ASSERT_TRUE(util::Json::Parse(text, &obj, &error)) << error;
+    api::PlannerConfig cfg;
+    const util::Status bad = config::ApplyPlannerConfigJson(obj, &cfg);
+    EXPECT_EQ(bad.code(), util::StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(bad.message().find("seed"), std::string::npos) << text;
+    EXPECT_EQ(cfg.seed, api::PlannerConfig{}.seed) << text;  // untouched
+  }
+  util::Json obj;
+  std::string error;
+  ASSERT_TRUE(util::Json::Parse(R"({"seed": "18446744073709551615"})", &obj,
+                                &error));
+  api::PlannerConfig cfg;
+  ASSERT_TRUE(config::ApplyPlannerConfigJson(obj, &cfg).ok());
+  EXPECT_EQ(cfg.seed, 18446744073709551615ULL);  // the maximum is exact
+
+  ASSERT_TRUE(util::Json::Parse(R"({"name": "fig1-toy", "seed": "-3"})",
+                                &obj, &error));
+  data::DatasetSpec spec;
+  util::Json overrides;
+  const util::Status bad =
+      config::DatasetSpecFromJson(obj, &spec, &overrides);
+  EXPECT_EQ(bad.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(bad.message().find("dataset.seed"), std::string::npos)
+      << bad.ToString();
+}
+
+// Integers are checked integral and in range before any cast.
+TEST(ConfigLoader, IntegerKnobsRejectFractionsAndOverflow) {
+  for (const char* text :
+       {R"({"eval_samples": 3e9})", R"({"eval_samples": 2.5})",
+        R"({"candidates": {"max_users": -3e9}})",
+        R"({"deadline_ms": 1e19})"}) {
+    util::Json obj;
+    std::string error;
+    ASSERT_TRUE(util::Json::Parse(text, &obj, &error)) << error;
+    api::PlannerConfig cfg;
+    EXPECT_EQ(config::ApplyPlannerConfigJson(obj, &cfg).code(),
+              util::StatusCode::kInvalidArgument)
+        << text;
+  }
+}
+
 // ---------------------------------------------------------- dataset specs
 
 TEST(ConfigLoader, ParsesDatasetSpecStrings) {
@@ -363,6 +414,20 @@ TEST_F(FlagFileTest, MissingFlagFileFails) {
   EXPECT_FALSE(parsed.ok());
   EXPECT_NE(parsed.message().find("/no/such/file"), std::string::npos)
       << parsed.ToString();
+}
+
+// An underscore spelling is the hyphen flag: both land in one slot, so
+// the later one wins whichever spelling it uses.
+TEST(ParseArgs, NormalizesUnderscoresInFlagNames) {
+  config::ParsedArgs args;
+  const util::Status parsed = config::ParseArgs(
+      {"plan", "--deadline_ms", "1", "--deadline-ms=5", "--fail_on=x"},
+      &args);
+  ASSERT_TRUE(parsed.ok()) << parsed.ToString();
+  ASSERT_EQ(args.flags.size(), 3u);
+  EXPECT_EQ(args.flags[0].first, "deadline-ms");
+  EXPECT_EQ(args.GetOr("deadline-ms", ""), "5");
+  EXPECT_EQ(args.GetOr("fail-on", ""), "x");
 }
 
 TEST(ParseArgs, SupportsEqualsFormAndBareSwitches) {
@@ -515,6 +580,61 @@ TEST(SweepSpec, MissingRequiredAxesFail) {
   EXPECT_EQ(bad.code(), util::StatusCode::kInvalidArgument);
   EXPECT_NE(bad.message().find("datasets"), std::string::npos)
       << bad.ToString();
+}
+
+// The sweep axes read through the knob rows they sweep, so each range is
+// written once: promotions[] like --promotions, thetas[] like
+// market.overlap_theta, threads[] like num_threads.
+TEST(SweepSpec, AxesShareTheirKnobRanges) {
+  struct Case {
+    const char* axes;
+    const char* named;  ///< expected substring of the error
+  };
+  const Case cases[] = {
+      {R"("budgets": [10], "promotions": [0])", "promotions[]"},
+      {R"("budgets": [10], "promotions": [2.5])", "promotions[]"},
+      {R"("budgets": [-5], "promotions": [1])", "budgets[]"},
+      {R"("budgets": [10], "promotions": [1], "thetas": [-1])", "thetas[]"},
+      {R"("budgets": [10], "promotions": [1], "threads": [-7])", "threads[]"},
+      {R"("budgets": [10], "promotions": [1], "threads": [100000])",
+       "threads[]"},
+      {R"("budgets": [10], "promotions": [1], "backends": ["nope"])",
+       "backends[]"},
+  };
+  for (const Case& c : cases) {
+    config::SweepSpec spec;
+    const util::Status bad = config::LoadSweepSpec(
+        ParseOrDie(std::string(R"({"datasets": ["fig1-toy"],)"
+                               R"( "planners": ["dysim"], )") +
+                   c.axes + "}"),
+        &spec);
+    EXPECT_EQ(bad.code(), util::StatusCode::kInvalidArgument) << c.axes;
+    EXPECT_NE(bad.message().find(c.named), std::string::npos)
+        << c.axes << ": " << bad.ToString();
+  }
+  config::SweepSpec spec;
+  const util::Status bad = config::LoadSweepSpec(
+      ParseOrDie(R"({"datasets": [{"name": "fig1-toy", "scale": 0}],
+                     "planners": ["dysim"], "budgets": [10],
+                     "promotions": [1]})"),
+      &spec);
+  EXPECT_EQ(bad.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(bad.message().find("dataset.scale"), std::string::npos)
+      << bad.ToString();
+}
+
+// The README's knob table documents every row of the code's knob table.
+TEST(KnobTable, ReadmeListsEveryKnob) {
+  std::ifstream file(std::string(IMDPP_SOURCE_DIR) + "/README.md");
+  ASSERT_TRUE(file.good());
+  std::stringstream readme;
+  readme << file.rdbuf();
+  const std::vector<config::KnobInfo> knobs = config::DescribeKnobs();
+  ASSERT_FALSE(knobs.empty());
+  for (const config::KnobInfo& knob : knobs) {
+    EXPECT_NE(readme.str().find("| `" + knob.path + "` |"), std::string::npos)
+        << knob.path << " is missing from the README knob table";
+  }
 }
 
 }  // namespace
